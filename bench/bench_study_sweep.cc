@@ -6,11 +6,16 @@
  * grid three ways — one pre-scheduler campaign per cell with a private
  * golden run, the shared GoldenStore with the serial per-campaign
  * loop, and the full sweep scheduler (shared goldens + one global
- * (cell, run) queue) — as google-benchmark cases, then verifies that
- * every arm produced bit-identical per-cell outcome counts and prints
- * an A/B/C table of golden simulations, wall time and speedup. The
- * shared arms must report exactly one golden simulation per workload
- * (2 for the default grid, down 18x from the baseline's 36).
+ * queue of lockstep units, each cursor carrying every cell of a
+ * program; DESIGN.md §15) — as google-benchmark cases, then verifies
+ * that every arm produced bit-identical per-cell outcome counts and
+ * prints an A/B/C table of golden simulations, golden cycles the
+ * cursors replayed (campaign.cursor_cycles), private cycles simulated
+ * (campaign.cycles_simulated), wall time and speedup. The shared arms
+ * must report exactly one golden simulation per workload (2 for the
+ * default grid, down 18x from the baseline's 36), and the queue arm's
+ * shared cursors must replay fewer golden cycles than the per-cell
+ * cursors of the serial loop.
  *
  * The default per-cell sample is deliberately small (5 injections):
  * the bench isolates the sweep-orchestration cost that the scheduler
@@ -39,6 +44,7 @@
 #include "core/study.hh"
 #include "util/env.hh"
 #include "util/log.hh"
+#include "util/metrics.hh"
 #include "util/table.hh"
 
 using namespace mbusim;
@@ -67,6 +73,8 @@ struct ArmOutcome
     bool measured = false;
     CellCounts cells;
     uint64_t goldenSims = 0;
+    uint64_t cursorCycles = 0;      ///< campaign.cursor_cycles delta
+    uint64_t cyclesSimulated = 0;   ///< campaign.cycles_simulated delta
     double seconds = 0.0;
 };
 ArmOutcome outcomes[ArmCount];
@@ -154,8 +162,12 @@ BM_Sweep(benchmark::State& state, int arm_index)
 {
     const Arm& arm = Arms[arm_index];
     ArmOutcome& out = outcomes[arm_index];
+    Counter& cursor = metrics().counter("campaign.cursor_cycles");
+    Counter& simulated = metrics().counter("campaign.cycles_simulated");
     for (auto _ : state) {
         uint64_t golden_before = core::goldenSimulationCount();
+        const uint64_t cursor_before = cursor.value();
+        const uint64_t simulated_before = simulated.value();
         auto start = std::chrono::steady_clock::now();
         out.cells = arm.sharedGolden ? runStudy(arm.globalQueue)
                                      : runBaseline();
@@ -164,10 +176,16 @@ BM_Sweep(benchmark::State& state, int arm_index)
                           .count();
         out.goldenSims =
             core::goldenSimulationCount() - golden_before;
+        out.cursorCycles = cursor.value() - cursor_before;
+        out.cyclesSimulated = simulated.value() - simulated_before;
         out.measured = true;
     }
     state.counters["golden_sims"] =
         static_cast<double>(out.goldenSims);
+    state.counters["cursor_cycles"] =
+        static_cast<double>(out.cursorCycles);
+    state.counters["cycles_simulated"] =
+        static_cast<double>(out.cyclesSimulated);
 }
 
 void
@@ -178,8 +196,8 @@ report()
         return;   // filtered out: no baseline to compare against
 
     size_t n_workloads = benchWorkloads().size();
-    TextTable table({"Sweep execution", "Golden sims", "Wall time",
-                     "Speedup"});
+    TextTable table({"Sweep execution", "Golden sims", "Cursor cycles",
+                     "Cycles simulated", "Wall time", "Speedup"});
     table.title("Study sweep cost by scheduler configuration");
     for (int i = 0; i < ArmCount; ++i) {
         const ArmOutcome& arm = outcomes[i];
@@ -196,8 +214,27 @@ report()
         table.addRow({Arms[i].name,
                       strprintf("%llu", static_cast<unsigned long long>(
                                             arm.goldenSims)),
+                      strprintf("%llu", static_cast<unsigned long long>(
+                                            arm.cursorCycles)),
+                      strprintf("%llu", static_cast<unsigned long long>(
+                                            arm.cyclesSimulated)),
                       strprintf("%.3f s", arm.seconds),
                       strprintf("%.2fx", base.seconds / arm.seconds)});
+    }
+    // The queue arm's lockstep units carry every cell of a program on
+    // one cursor per checkpoint interval; the serial loop runs one
+    // cursor per cell and interval. Fewer replayed golden cycles is
+    // the point of the shared cursors — equal would mean they never
+    // formed.
+    const ArmOutcome& per_cell = outcomes[1];
+    const ArmOutcome& queue = outcomes[2];
+    if (per_cell.measured && queue.measured &&
+        queue.cursorCycles >= per_cell.cursorCycles) {
+        fatal("queue arm replayed %llu cursor cycles, not below the "
+              "per-cell arm's %llu: shared lockstep cursors did not "
+              "form",
+              static_cast<unsigned long long>(queue.cursorCycles),
+              static_cast<unsigned long long>(per_cell.cursorCycles));
     }
     std::printf("\n");
     table.print();

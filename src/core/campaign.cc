@@ -811,19 +811,66 @@ Campaign::Execution::CohortOutcome
 Campaign::Execution::runCohort(const Cohort& cohort,
                                const std::function<bool()>& stop)
 {
-    CohortOutcome out;
-    if (cohort.batched && !cohort.indices.empty())
-        cohorts_->add(1);
-    if (cohort.batched && campaign_.lockstep_ &&
-        !cohort.indices.empty()) {
-        if (runCohortLockstep(cohort, stop, out))
-            return out;
-        // The lockstep cursor failed with runs unretired: finish the
+    return runShared({{this, &cohort}}, stop).front();
+}
+
+bool
+Campaign::Execution::sharesCursor(const Cohort& cohort) const
+{
+    return cohort.batched && campaign_.lockstep_;
+}
+
+uint64_t
+Campaign::Execution::injectionCycle(uint32_t index) const
+{
+    return campaign_.planRun(campaign_.golden(), index, generator_)
+        .record.cycle;
+}
+
+std::vector<Campaign::Execution::CohortOutcome>
+Campaign::Execution::runShared(const std::vector<Rider>& riders,
+                               const std::function<bool()>& stop)
+{
+    std::vector<CohortOutcome> outs(riders.size());
+    const bool lockstep =
+        std::all_of(riders.begin(), riders.end(), [](const Rider& r) {
+            return r.exec->sharesCursor(*r.cohort);
+        });
+    if (!lockstep) {
+        // Nothing to share: each cohort keeps its own cursor (or none,
+        // for per-run restore).
+        for (size_t i = 0; i < riders.size(); ++i) {
+            const Rider& r = riders[i];
+            if (r.cohort->batched && !r.cohort->indices.empty())
+                r.exec->cohorts_->add(1);
+            r.exec->runCohortCursor(*r.cohort, stop, outs[i]);
+        }
+        return outs;
+    }
+
+    const Rider& lead = riders.front();
+    for (const Rider& r : riders) {
+        if (&r.exec->campaign_.golden() != &lead.exec->campaign_.golden() ||
+            r.cohort->checkpointIndex != lead.cohort->checkpointIndex) {
+            panic("lockstep riders of '%s' do not share a golden "
+                  "cursor", lead.exec->campaign_.workload_.name.c_str());
+        }
+    }
+    // One cursor, one cohort in the metrics, however many riders.
+    if (std::any_of(riders.begin(), riders.end(), [](const Rider& r) {
+            return !r.cohort->indices.empty();
+        })) {
+        lead.exec->cohorts_->add(1);
+    }
+    if (!runCohortLockstep(riders, stop, outs)) {
+        // The lockstep cursor failed with runs unretired: finish each
         // cohort on the per-run cursor path (done_ guards skip every
         // run lockstep already retired).
+        for (size_t i = 0; i < riders.size(); ++i)
+            riders[i].exec->runCohortCursor(*riders[i].cohort, stop,
+                                            outs[i]);
     }
-    runCohortCursor(cohort, stop, out);
-    return out;
+    return outs;
 }
 
 void
@@ -935,45 +982,63 @@ Campaign::Execution::runCohortCursor(const Cohort& cohort,
 }
 
 bool
-Campaign::Execution::runCohortLockstep(const Cohort& cohort,
+Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
                                        const std::function<bool()>& stop,
-                                       CohortOutcome& out)
+                                       std::vector<CohortOutcome>& outs)
 {
     using Clock = std::chrono::steady_clock;
-    const GoldenArtifacts& golden = campaign_.golden();
-    const sim::FaultTarget target =
-        campaign_.config_.targetOverride
-            ? *campaign_.config_.targetOverride
-            : targetFor(campaign_.config_.component);
+    // Every rider shares these (runShared checked it): the golden
+    // artifacts, hence the program and CPU the cursor replays, and the
+    // base checkpoint. Cursor-wide metrics go through the lead rider's
+    // instruments; everything about a run goes through its own.
+    Execution& lead = *riders.front().exec;
+    const Campaign& host = lead.campaign_;
+    const GoldenArtifacts& golden = host.golden();
+    const size_t checkpoint = riders.front().cohort->checkpointIndex;
 
-    // Plan the cohort's still-pending runs up front; indices arrive
-    // in ascending (cycle, index) order, which is exactly the attach
-    // order the cursor needs.
+    // Plan every rider's still-pending runs up front and merge them
+    // into one attach order: ascending injection cycle, ties by rider
+    // and then by cohort position (each cohort is already in
+    // ascending (cycle, index) order).
     struct Pending
     {
         RunPlan plan;
+        uint32_t rider;
         uint32_t pos;
     };
     std::vector<Pending> todo;
-    uint32_t pos = 0;
-    for (uint32_t index : cohort.indices) {
-        if (!done_[index]) {
-            todo.push_back(
-                {campaign_.planRun(golden, index, generator_), pos});
+    for (uint32_t r = 0; r < riders.size(); ++r) {
+        Execution& exec = *riders[r].exec;
+        uint32_t pos = 0;
+        for (uint32_t index : riders[r].cohort->indices) {
+            if (!exec.done_[index]) {
+                todo.push_back(
+                    {exec.campaign_.planRun(golden, index,
+                                            exec.generator_),
+                     r, pos});
+            }
+            ++pos;
         }
-        ++pos;
     }
     if (todo.empty())
         return true;
+    std::stable_sort(todo.begin(), todo.end(),
+                     [](const Pending& a, const Pending& b) {
+                         return a.plan.record.cycle < b.plan.record.cycle;
+                     });
 
     // One attached, not-yet-forked run riding the cursor.
     struct Overlay
     {
         RunPlan plan;
+        uint32_t rider = 0;
         uint32_t pos = 0;
         sim::Simulator::OverlayHandle handle;
         std::vector<sim::BitFlip> liveAtBase;
         std::vector<sim::BitFlip> ghostAtBase;
+        /** Overlay change counter at the last fork-base capture
+         *  (UINT64_MAX = never captured). */
+        uint64_t seenChanges = UINT64_MAX;
         Clock::time_point t0;
     };
 
@@ -993,15 +1058,18 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
                    ? 0
                    : golden.checkpoints[plan.checkpointIndex].cycle;
     };
-    auto finish = [&](RunRecord&& record, uint64_t prefix, uint32_t at,
+    auto finish = [&](RunRecord&& record, uint64_t prefix,
+                      uint32_t rider, uint32_t at,
                       const Clock::time_point& t0) {
-        record.cohortId = cohort.id;
+        record.cohortId = riders[rider].cohort->id;
         record.cohortPos = at;
         record.wallMicros = static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 Clock::now() - t0)
                 .count());
-        out.remaining = complete(std::move(record), prefix);
+        CohortOutcome& out = outs[rider];
+        out.remaining =
+            riders[rider].exec->complete(std::move(record), prefix);
         if (out.remaining == 0)
             out.retiredLast = true;
         ++out.executed;
@@ -1015,10 +1083,11 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
     // the record is the one a full simulation of a golden-identical
     // machine produces: golden terminal counts, no early exit.
     auto retire = [&](Overlay& run, bool dead, uint64_t death_cycle) {
+        Execution& exec = *riders[run.rider].exec;
         RunRecord record = run.plan.record;
         record.restoredFrom = ladder_cycle(run.plan);
         record.cycles = golden.result.cycles;
-        if (dead && campaign_.earlyExit_) {
+        if (dead && exec.campaign_.earlyExit_) {
             record.outcome = Outcome::Masked;
             record.exitReason = sim::EarlyExit::DeadFault;
             record.cyclesSaved =
@@ -1029,30 +1098,32 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
             record.outcome = classify(golden.result, golden.result);
         }
         const uint64_t end = dead ? death_cycle : golden.result.cycles;
-        overlayCycles_->add(
+        exec.overlayCycles_->add(
             end > record.cycle ? end - record.cycle : 0);
-        neverForked_->add(1);
+        exec.neverForked_->add(1);
         cursor->dropOverlay(run.handle);
         // The run simulated nothing privately: its whole extent is
         // skipped prefix.
-        finish(std::move(record),
-               record.cycles - record.cyclesSaved, run.pos, run.t0);
+        finish(std::move(record), record.cycles - record.cyclesSaved,
+               run.rider, run.pos, run.t0);
     };
     // A flip was read: the run diverged from golden during the last
     // tick. Materialize it from the fork base (golden state at the
     // last injection event, at or after its own injection cycle) plus
     // its flips still live there.
     auto fork = [&](Overlay& run) {
+        Execution& exec = *riders[run.rider].exec;
         const uint64_t at = cursor->cycle();
-        forks_->add(1);
-        overlayCycles_->add(
+        exec.forks_->add(1);
+        exec.overlayCycles_->add(
             at > run.plan.record.cycle ? at - run.plan.record.cycle
                                        : 0);
         cursor->dropOverlay(run.handle);
-        RunRecord record = campaign_.runForkIsolated(
+        RunRecord record = exec.campaign_.runForkIsolated(
             golden, run.plan, *base, run.liveAtBase, run.ghostAtBase);
         record.forkedAt = static_cast<int64_t>(at);
-        finish(std::move(record), base->cycle, run.pos, run.t0);
+        finish(std::move(record), base->cycle, run.rider, run.pos,
+               run.t0);
     };
 
     try {
@@ -1063,13 +1134,11 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
                 return true;
             }
             if (!cursor) {
-                if (cohort.checkpointIndex != NoCheckpoint) {
-                    cursor.emplace(
-                        campaign_.program_, campaign_.config_.cpu,
-                        golden.checkpoints[cohort.checkpointIndex]);
+                if (checkpoint != NoCheckpoint) {
+                    cursor.emplace(host.program_, host.config_.cpu,
+                                   golden.checkpoints[checkpoint]);
                 } else {
-                    cursor.emplace(campaign_.program_,
-                                   campaign_.config_.cpu);
+                    cursor.emplace(host.program_, host.config_.cpu);
                 }
             }
             cursor->clearOverlayEvents();
@@ -1082,8 +1151,8 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
                                        : UINT64_MAX;
             const uint64_t before = cursor->cycle();
             cursor->runLockstep(until);
-            cursorCycles_->add(cursor->cycle() - before);
-            decodeHits_->add(cursor->cpu().decodeHits());
+            lead.cursorCycles_->add(cursor->cycle() - before);
+            lead.decodeHits_->add(cursor->cpu().decodeHits());
             cursor->cpu().resetDecodeCounters();
 
             // Forks first: a flip read during the last tick diverged
@@ -1125,7 +1194,8 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
                 return true;
             });
 
-            // Attach every run injecting at this cycle.
+            // Attach every run injecting at this cycle, whichever
+            // rider it belongs to.
             bool attached = false;
             while (next < todo.size() &&
                    todo[next].plan.record.cycle == cursor->cycle()) {
@@ -1133,13 +1203,14 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
                 ++next;
                 attached = true;
                 const Clock::time_point t0 = Clock::now();
-                if (campaign_.config_.hostFaultHook) {
+                const Campaign& campaign = riders[p.rider].exec->campaign_;
+                if (campaign.config_.hostFaultHook) {
                     // The hook stands in for "a simulation attempt
                     // begins". If it throws, serve this run alone on
                     // the isolated per-run path (retry-then-Error)
                     // and keep the cohort riding.
                     try {
-                        campaign_.config_.hostFaultHook(
+                        campaign.config_.hostFaultHook(
                             p.plan.record.index, 0);
                     } catch (...) {
                         const sim::Snapshot* start =
@@ -1147,19 +1218,23 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
                                 ? nullptr
                                 : &golden.checkpoints
                                        [p.plan.checkpointIndex];
-                        RunRecord record = campaign_.runPlanIsolated(
+                        RunRecord record = campaign.runPlanIsolated(
                             golden, p.plan, start);
                         finish(std::move(record), record.restoredFrom,
-                               p.pos, t0);
+                               p.rider, p.pos, t0);
                         continue;
                     }
                 }
                 Overlay run;
                 run.plan = std::move(p.plan);
+                run.rider = p.rider;
                 run.pos = p.pos;
                 run.t0 = t0;
                 sim::Injection injection;
-                injection.target = target;
+                injection.target = campaign.config_.targetOverride
+                                       ? *campaign.config_.targetOverride
+                                       : targetFor(
+                                             campaign.config_.component);
                 injection.cycle = run.plan.record.cycle;
                 injection.flips = run.plan.record.mask.flips;
                 run.handle = cursor->attachOverlay(injection);
@@ -1178,15 +1253,25 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
                 // path pays), plus each rider's flips still live
                 // here. A later fork replays at most one
                 // inter-injection gap of golden prefix privately.
-                if (campaign_.deltaSnapshots_) {
+                if (host.deltaSnapshots_) {
                     uint64_t delta_bytes = 0;
                     base = &cursor->deltaCheckpoint(&delta_bytes);
-                    snapshotBytes_->add(delta_bytes);
+                    lead.snapshotBytes_->add(delta_bytes);
                 } else {
                     baseCopy = cursor->checkpoint();
                     base = &baseCopy;
                 }
+                // A run's live and ghost sets only change when its
+                // overlay's change counter moves, so most riders keep
+                // their previous capture (a wide shared cursor would
+                // otherwise rescan every tracked bit once per rider
+                // at every attach).
                 for (Overlay& run : riding) {
+                    const uint64_t changes =
+                        cursor->overlayChanges(run.handle);
+                    if (changes == run.seenChanges)
+                        continue;
+                    run.seenChanges = changes;
                     run.liveAtBase =
                         cursor->overlayLiveFlips(run.handle);
                     run.ghostAtBase =
@@ -1197,14 +1282,14 @@ Campaign::Execution::runCohortLockstep(const Cohort& cohort,
     } catch (const std::exception& e) {
         warn("cohort %lld lockstep cursor of '%s' failed (%s); "
              "falling back to per-run restore",
-             static_cast<long long>(cohort.id),
-             campaign_.workload_.name.c_str(), e.what());
+             static_cast<long long>(riders.front().cohort->id),
+             host.workload_.name.c_str(), e.what());
         return false;
     } catch (...) {
         warn("cohort %lld lockstep cursor of '%s' failed; falling "
              "back to per-run restore",
-             static_cast<long long>(cohort.id),
-             campaign_.workload_.name.c_str());
+             static_cast<long long>(riders.front().cohort->id),
+             host.workload_.name.c_str());
         return false;
     }
     return true;

@@ -389,10 +389,46 @@ class Campaign
          * warm golden cursor for batched cohorts. @p stop, when given,
          * is polled between runs so a deadline/interrupt abandons the
          * cohort's tail (those runs simply stay pending). Each cohort
-         * must be run by at most one caller.
+         * must be run by at most one caller. The one-execution case of
+         * runShared().
          */
         CohortOutcome runCohort(const Cohort& cohort,
                                 const std::function<bool()>& stop = {});
+
+        /** One execution's cohort inside a shared lockstep unit. */
+        struct Rider
+        {
+            Execution* exec = nullptr;
+            const Cohort* cohort = nullptr;
+        };
+
+        /**
+         * Can @p cohort ride a golden cursor shared with other
+         * executions' cohorts? True for batched cohorts under lockstep
+         * (DESIGN.md §15); per-run and cursor-mode cohorts keep a
+         * cursor of their own.
+         */
+        bool sharesCursor(const Cohort& cohort) const;
+
+        /**
+         * Execute several executions' cohorts on one lockstep golden
+         * cursor (DESIGN.md §15): every rider's runs attach as flip
+         * overlays in ascending injection-cycle order, whatever their
+         * fault target, and each run is planned, hooked, completed,
+         * journalled and counted by its own execution. All riders must
+         * share golden artifacts (one GoldenStore entry) and restore
+         * checkpoint — a sweep groups every cell of a program this way
+         * — and must all sharesCursor(); otherwise each cohort runs on
+         * its own. Returns one CohortOutcome per rider, in order, each
+         * about its own execution. Results are bit-identical to running
+         * each cohort through runCohort().
+         */
+        static std::vector<CohortOutcome>
+        runShared(const std::vector<Rider>& riders,
+                  const std::function<bool()>& stop = {});
+
+        /** Injection cycle of run @p index (planned, not simulated). */
+        uint64_t injectionCycle(uint32_t index) const;
         /**
          * Simulate run @p index (fault-isolated, journalled) and
          * return how many runs are still pending afterwards — zero
@@ -463,16 +499,18 @@ class Campaign
                              CohortOutcome& out);
 
         /**
-         * The lockstep loop (DESIGN.md §15): every run rides the
-         * cursor as a flip overlay; dead runs retire with golden
+         * The lockstep loop (DESIGN.md §15), the one driver behind
+         * runShared() and runCohort(): every rider's runs ride one
+         * cursor as flip overlays; dead runs retire with golden
          * terminal counts, propagated runs fork private simulators
-         * from a rolling fork-base snapshot. Returns false if the
-         * cursor failed with runs still unretired (the caller then
-         * falls back to runCohortCursor for the remainder).
+         * from a rolling fork-base snapshot. Accumulates into
+         * @p outs (one per rider). Returns false if the cursor failed
+         * with runs still unretired (the caller then falls back to
+         * runCohortCursor for each rider's remainder).
          */
-        bool runCohortLockstep(const Cohort& cohort,
-                               const std::function<bool()>& stop,
-                               CohortOutcome& out);
+        static bool runCohortLockstep(const std::vector<Rider>& riders,
+                                      const std::function<bool()>& stop,
+                                      std::vector<CohortOutcome>& outs);
 
         const Campaign& campaign_;
         MaskGenerator generator_;

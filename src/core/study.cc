@@ -370,6 +370,136 @@ Study::installCellResult(SweepCell& cell)
     results_.emplace(cell.key, std::move(result));
 }
 
+std::vector<SweepUnit>
+fuseSweepUnits(const std::vector<std::unique_ptr<SweepCell>>& cells,
+               uint32_t threads)
+{
+    using Cohort = Campaign::Execution::Cohort;
+    std::vector<SweepUnit> units;
+    // Cohorts that can share a cursor group by (golden artifacts,
+    // restore checkpoint): one unit per program and checkpoint
+    // interval, one rider per cell. The rest stay units of their own.
+    std::map<std::pair<const GoldenArtifacts*, size_t>, size_t> fused;
+    for (const auto& cell : cells) {
+        for (const Cohort& cohort : cell->cohorts) {
+            if (cohort.indices.empty())
+                continue;
+            if (!cell->exec->sharesCursor(cohort)) {
+                units.push_back({{cell.get()}, {cohort}, 0, 0});
+                continue;
+            }
+            auto key = std::make_pair(&cell->campaign->goldenArtifacts(),
+                                      cohort.checkpointIndex);
+            auto [it, inserted] = fused.try_emplace(key, units.size());
+            if (inserted)
+                units.emplace_back();
+            SweepUnit& unit = units[it->second];
+            // A cell planned for many workers may hold several cohorts
+            // of one interval: they become one rider.
+            if (unit.cells.empty() || unit.cells.back() != cell.get()) {
+                unit.cells.push_back(cell.get());
+                unit.cohorts.emplace_back();
+            }
+            std::vector<uint32_t>& indices = unit.cohorts.back().indices;
+            indices.insert(indices.end(), cohort.indices.begin(),
+                           cohort.indices.end());
+        }
+    }
+    for (auto& [key, at] : fused) {
+        SweepUnit& unit = units[at];
+        for (size_t i = 0; i < unit.cells.size(); ++i) {
+            unit.cohorts[i] = unit.cells[i]->exec->makeCohort(
+                unit.cohorts[i].indices, 0);
+        }
+    }
+
+    // Queue depth: with fewer than two units per worker, split the
+    // fused units cycle-contiguously into chunks of at most
+    // runs/(2*threads) runs — the rule planCohorts applies to one
+    // cell — trading repeated golden-prefix replay for idle workers.
+    uint64_t runs = 0;
+    for (SweepUnit& unit : units) {
+        unit.runs = 0;
+        for (const Cohort& cohort : unit.cohorts)
+            unit.runs += cohort.indices.size();
+        runs += unit.runs;
+    }
+    if (threads > 1 && units.size() < 2 * static_cast<size_t>(threads)) {
+        const uint64_t max_chunk =
+            std::max<uint64_t>(1, (runs + 2 * threads - 1) / (2 * threads));
+        std::vector<SweepUnit> split;
+        for (SweepUnit& unit : units) {
+            if (unit.runs <= max_chunk ||
+                !unit.cells.front()->exec->sharesCursor(
+                    unit.cohorts.front())) {
+                split.push_back(std::move(unit));
+                continue;
+            }
+            // (cycle, rider, index), stable by rider so each rider's
+            // (cycle, index) order carries into every chunk.
+            struct Run
+            {
+                uint64_t cycle;
+                size_t rider;
+                uint32_t index;
+            };
+            std::vector<Run> order;
+            for (size_t r = 0; r < unit.cells.size(); ++r) {
+                for (uint32_t index : unit.cohorts[r].indices) {
+                    order.push_back(
+                        {unit.cells[r]->exec->injectionCycle(index), r,
+                         index});
+                }
+            }
+            std::stable_sort(order.begin(), order.end(),
+                             [](const Run& a, const Run& b) {
+                                 return a.cycle < b.cycle;
+                             });
+            for (size_t at = 0; at < order.size(); at += max_chunk) {
+                SweepUnit chunk;
+                std::vector<size_t> slot(unit.cells.size(), SIZE_MAX);
+                const size_t end =
+                    std::min<size_t>(order.size(), at + max_chunk);
+                for (size_t j = at; j < end; ++j) {
+                    const Run& run = order[j];
+                    if (slot[run.rider] == SIZE_MAX) {
+                        slot[run.rider] = chunk.cells.size();
+                        chunk.cells.push_back(unit.cells[run.rider]);
+                        Cohort part = unit.cohorts[run.rider];
+                        part.indices.clear();
+                        chunk.cohorts.push_back(std::move(part));
+                    }
+                    chunk.cohorts[slot[run.rider]].indices.push_back(
+                        run.index);
+                }
+                chunk.runs = end - at;
+                split.push_back(std::move(chunk));
+            }
+        }
+        units = std::move(split);
+    }
+
+    // Largest first: a unit costs about its runs times the golden
+    // cycles from its base to the program's end, so the longest
+    // cursors start early and the tail is short ones.
+    for (SweepUnit& unit : units) {
+        const uint64_t golden_end =
+            unit.cells.front()->campaign->goldenCycles();
+        const uint64_t base = unit.cohorts.front().baseCycle;
+        unit.cost = unit.runs * (golden_end > base ? golden_end - base
+                                                   : 1);
+    }
+    std::stable_sort(units.begin(), units.end(),
+                     [](const SweepUnit& a, const SweepUnit& b) {
+                         return a.cost > b.cost;
+                     });
+    for (size_t u = 0; u < units.size(); ++u) {
+        for (Cohort& cohort : units[u].cohorts)
+            cohort.id = static_cast<int64_t>(u);
+    }
+    return units;
+}
+
 SweepReport
 Study::runSweep(const ProgressFn& progress)
 {
@@ -427,20 +557,14 @@ Study::runSweep(const ProgressFn& progress)
     std::vector<std::unique_ptr<SweepCell>> cells =
         prepareSweepCells(report, cached_keys, threads);
 
-    // --- Pass 3: one global queue of (cell, cohort) tasks in cell
-    // order. Workers claim cohorts with a single atomic cursor, so a
-    // cell's Masked-heavy straggler tail overlaps the next cell's work
-    // and the pool is spawned once per sweep, not once per campaign.
-    std::vector<
-        std::pair<SweepCell*, const Campaign::Execution::Cohort*>>
-        tasks;
+    // --- Pass 3: one global queue of lockstep units, largest first.
+    // Workers claim units with a single atomic cursor, so a cell's
+    // Masked-heavy straggler tail overlaps other cells' work and the
+    // pool is spawned once per sweep, not once per campaign.
+    std::vector<SweepUnit> tasks = fuseSweepUnits(cells, threads);
     uint64_t runs_total = 0;
-    for (auto& cell : cells) {
-        for (const auto& cohort : cell->cohorts) {
-            tasks.push_back({cell.get(), &cohort});
-            runs_total += cohort.indices.size();
-        }
-    }
+    for (const SweepUnit& unit : tasks)
+        runs_total += unit.runs;
 
     // Scheduler instruments (DESIGN.md §12): queue depth tracks the
     // unclaimed tail of the task list; worker_busy_us accumulates time
@@ -535,21 +659,28 @@ Study::runSweep(const ProgressFn& progress)
                 return;
             queue_depth.set(
                 static_cast<int64_t>(tasks.size() - (t + 1)));
-            SweepCell* cell = tasks[t].first;
+            const SweepUnit& unit = tasks[t];
+            std::vector<Campaign::Execution::Rider> riders;
+            riders.reserve(unit.cells.size());
+            for (size_t i = 0; i < unit.cells.size(); ++i)
+                riders.push_back({unit.cells[i]->exec.get(),
+                                  &unit.cohorts[i]});
             const Clock::time_point run_start = Clock::now();
-            Campaign::Execution::CohortOutcome out =
-                cell->exec->runCohort(*tasks[t].second, shouldStop);
+            std::vector<Campaign::Execution::CohortOutcome> outs =
+                Campaign::Execution::runShared(riders, shouldStop);
             busy_us.add(static_cast<uint64_t>(
                 std::chrono::duration_cast<std::chrono::microseconds>(
                     Clock::now() - run_start)
                     .count()));
-            runs_done.fetch_add(out.executed);
             // The worker that retires a cell's last run finalizes it:
             // the cell is complete, so caching it is safe even if a
-            // cancellation raced in meanwhile. Exactly one runCohort
-            // call per cell observes retiredLast.
-            if (out.retiredLast)
-                finalizeCell(*cell);
+            // cancellation raced in meanwhile. Exactly one rider per
+            // cell, across all units, observes retiredLast.
+            for (size_t i = 0; i < outs.size(); ++i) {
+                runs_done.fetch_add(outs[i].executed);
+                if (outs[i].retiredLast)
+                    finalizeCell(*unit.cells[i]);
+            }
         }
     };
 

@@ -124,6 +124,33 @@ struct SweepCell
     std::vector<Campaign::Execution::Cohort> cohorts;
 };
 
+/**
+ * One queue entry of the in-process sweep (DESIGN.md §11, §15): the
+ * cohorts of one or more cells that ride a single lockstep golden
+ * cursor. cells[i] owns cohorts[i].
+ */
+struct SweepUnit
+{
+    std::vector<SweepCell*> cells;
+    std::vector<Campaign::Execution::Cohort> cohorts;
+    uint64_t runs = 0;   ///< runs across every cohort
+    uint64_t cost = 0;   ///< runs x golden cycles from base to end
+};
+
+/**
+ * Build the in-process sweep's queue from planned cells: every cohort
+ * that can share a cursor (Execution::sharesCursor) is fused with the
+ * other cells' cohorts of the same golden artifacts and restore
+ * checkpoint — one unit per program and checkpoint interval, all 18
+ * of a program's cells riding it. With fewer than 2 x @p threads units
+ * the fused units are split cycle-contiguously into chunks of at most
+ * runs/(2 x threads) runs. Units come back largest cost first, cohort
+ * ids numbering the queue.
+ */
+std::vector<SweepUnit>
+fuseSweepUnits(const std::vector<std::unique_ptr<SweepCell>>& cells,
+               uint32_t threads);
+
 /** On-demand, memoized campaign sweep. */
 class Study
 {

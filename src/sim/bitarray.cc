@@ -107,12 +107,12 @@ BitArray::restore(const Snapshot& snapshot)
     // The restored image replaces every bit, so no tracked flip is
     // live in it; propagated flags stay latched (those flips already
     // escaped). Silent — restore is a host operation, not a machine
-    // write, so it raises no tracking events.
+    // write, so it raises no tracking events — but the erased bits do
+    // move their overlays' change counters.
     if (!tracked_.empty()) [[unlikely]] {
         for (OverlayState& overlay : overlays_)
             overlay.live = 0;
-        tracked_.clear();
-        clearGuard();
+        untrackAll();
     }
 }
 
@@ -141,8 +141,11 @@ BitArray::trackFlipIn(uint32_t overlay, uint32_t row, uint32_t col)
         overlays_.resize(overlay + 1);
     tracked_.push_back({row, col, overlay});
     ++overlays_[overlay].live;
-    if (rowGuard_.empty())
+    if (rowGuard_.empty()) {
         rowGuard_.assign((rows_ + 63) / 64, 0);
+        rowCount_.assign(rows_, 0);
+    }
+    ++rowCount_[row];
     rowGuard_[row >> 6] |= 1ULL << (row & 63);
 }
 
@@ -173,12 +176,13 @@ BitArray::dropOverlay(uint32_t overlay)
 {
     if (overlay >= overlays_.size())
         return;
-    std::erase_if(tracked_, [overlay](const TrackedBit& b) {
-        return b.overlay == overlay;
+    std::erase_if(tracked_, [this, overlay](const TrackedBit& b) {
+        if (b.overlay != overlay)
+            return false;
+        untrackRow(b.row);
+        return true;
     });
     overlays_[overlay].live = 0;
-    if (tracked_.empty())
-        clearGuard();
 }
 
 void
@@ -194,6 +198,16 @@ void
 BitArray::clearGuard() const
 {
     std::fill(rowGuard_.begin(), rowGuard_.end(), 0);
+    std::fill(rowCount_.begin(), rowCount_.end(), 0);
+}
+
+void
+BitArray::untrackAll() const
+{
+    for (const TrackedBit& b : tracked_)
+        ++overlays_[b.overlay].changes;
+    tracked_.clear();
+    clearGuard();
 }
 
 void
@@ -223,10 +237,9 @@ BitArray::noteRead(uint32_t row, uint32_t col, uint32_t width) const
         if (!overlays_[b.overlay].propagated)
             return false;
         overlays_[b.overlay].live = 0;
+        untrackRow(b.row);
         return true;
     });
-    if (tracked_.empty())
-        clearGuard();
 }
 
 void
@@ -239,16 +252,17 @@ BitArray::removeTracked(uint32_t row, uint32_t col, uint32_t width,
         const TrackedBit& b = tracked_[i];
         if (b.row == row && b.col >= col && b.col < col + width &&
             (scope == AllOverlays || b.overlay == scope)) {
-            if (!b.ghost && --overlays_[b.overlay].live == 0)
+            OverlayState& overlay = overlays_[b.overlay];
+            if (!b.ghost && --overlay.live == 0)
                 eventsPending_ = true;
+            ++overlay.changes;
+            untrackRow(row);
             tracked_[i] = tracked_.back();
             tracked_.pop_back();
         } else {
             ++i;
         }
     }
-    if (tracked_.empty())
-        clearGuard();
 }
 
 void
@@ -262,8 +276,10 @@ BitArray::ghostTracked(uint32_t row, uint32_t col, uint32_t width,
             b.col < col + width &&
             (scope == AllOverlays || b.overlay == scope)) {
             b.ghost = true;
-            if (--overlays_[b.overlay].live == 0)
+            OverlayState& overlay = overlays_[b.overlay];
+            if (--overlay.live == 0)
                 eventsPending_ = true;
+            ++overlay.changes;
         }
     }
 }
@@ -278,8 +294,7 @@ BitArray::clear()
             if (!b.ghost && --overlays_[b.overlay].live == 0)
                 eventsPending_ = true;
         }
-        tracked_.clear();
-        clearGuard();
+        untrackAll();
     }
     dirty_ = true;
     std::fill(words_.begin(), words_.end(), 0);

@@ -120,6 +120,21 @@ class BitArray
         return overlay < overlays_.size() && overlays_[overlay].propagated;
     }
 
+    /**
+     * Change counter of @p overlay's tracked set: moves whenever one
+     * of its bits is overwritten (write, clear, restore) or ghosted
+     * (discardFlips), and on nothing else — not on reads, not on other
+     * overlays' changes. While it stands still, appendLiveBits and
+     * appendGhostBits return the same sets as at the last look, so the
+     * lockstep driver re-captures a rider's fork-base flips only when
+     * the counter moved instead of rescanning every tracked bit once
+     * per rider at every attach.
+     */
+    uint64_t overlayChanges(uint32_t overlay) const
+    {
+        return overlay < overlays_.size() ? overlays_[overlay].changes : 0;
+    }
+
     /** Append @p overlay's live (row, col) bits to @p bits. */
     void appendLiveBits(
         uint32_t overlay,
@@ -310,6 +325,14 @@ class BitArray
     /** Count set bits (test/debug aid). */
     uint64_t popcount() const;
 
+    /** Does the row guard send accesses to @p row through the tracked
+     *  set (test/debug aid)? True exactly while the row holds a tracked
+     *  bit, live or ghost. */
+    bool guardsRow(uint32_t row) const
+    {
+        return row < rows_ && !rowGuard_.empty() && rowGuarded(row);
+    }
+
   private:
     /** Raw field extraction: no bounds check, no liveness note. */
     uint64_t
@@ -394,19 +417,34 @@ class BitArray
     {
         uint32_t live = 0;
         bool propagated = false;
+        uint64_t changes = 0;   ///< see overlayChanges()
     };
 
     /**
-     * Does @p row hold any tracked bit? One load. Guard bits are set
-     * on track and only cleared wholesale when the tracked set
-     * empties, so a stale set bit costs one spurious scan of the
-     * (small) tracked set — never a missed update.
+     * Does @p row hold any tracked bit? One load. The guard bit of a
+     * row is exact: rowCount_ counts the row's tracked entries (live
+     * and ghost) and the bit clears the moment the count drops to
+     * zero. A shared lockstep cursor's tracked set rarely empties, so
+     * a guard cleared only wholesale would saturate and send every
+     * access through the tracked-set scan.
      */
     bool
     rowGuarded(uint32_t row) const
     {
         return (rowGuard_[row >> 6] >> (row & 63)) & 1;
     }
+
+    /** One tracked entry of @p row is gone: update the exact guard. */
+    void
+    untrackRow(uint32_t row) const
+    {
+        if (--rowCount_[row] == 0)
+            rowGuard_[row >> 6] &= ~(1ULL << (row & 63));
+    }
+
+    /** Forget every tracked entry, bumping the change counters of
+     *  the overlays losing bits, and zero the row guard. */
+    void untrackAll() const;
 
     void clearGuard() const;
 
@@ -444,6 +482,7 @@ class BitArray
     mutable std::vector<TrackedBit> tracked_;
     mutable std::vector<OverlayState> overlays_;
     mutable std::vector<uint64_t> rowGuard_;   ///< lazily allocated
+    mutable std::vector<uint32_t> rowCount_;   ///< tracked entries per row
     mutable bool eventsPending_ = false;
     uint32_t discardScope_ = AllOverlays;
     /** Contents changed since the last fold(). Starts dirty so the

@@ -123,6 +123,12 @@ Simulator::overlayPropagated(const OverlayHandle& overlay) const
     return targetBitsConst(overlay.target).overlayPropagated(overlay.id);
 }
 
+uint64_t
+Simulator::overlayChanges(const OverlayHandle& overlay) const
+{
+    return targetBitsConst(overlay.target).overlayChanges(overlay.id);
+}
+
 std::vector<BitFlip>
 Simulator::overlayLiveFlips(const OverlayHandle& overlay) const
 {

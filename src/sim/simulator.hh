@@ -264,6 +264,11 @@ class Simulator
     /** Has any flip of @p overlay been architecturally read? */
     bool overlayPropagated(const OverlayHandle& overlay) const;
 
+    /** @p overlay's change counter (BitArray::overlayChanges): while
+     *  it stands still, overlayLiveFlips and overlayGhostFlips return
+     *  the same sets as at the last look. */
+    uint64_t overlayChanges(const OverlayHandle& overlay) const;
+
     /** The still-live flips of @p overlay (fork-base capture). */
     std::vector<BitFlip> overlayLiveFlips(const OverlayHandle& overlay)
         const;
@@ -342,8 +347,8 @@ class Simulator
     uint64_t lastInjectionCycle_ = 0;
 
     // Lockstep state: the arrays holding attached overlays (one per
-    // distinct fault target — in practice a single array, since a
-    // campaign injects one structure).
+    // distinct fault target — a single array for one campaign's
+    // cohort, up to six when a sweep's cells share the cursor).
     std::vector<BitArray*> overlayArrays_;
 
     // Pooled buffer behind deltaCheckpoint(); reusing it across calls

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -17,6 +18,7 @@
 
 #include "core/study.hh"
 #include "util/interrupt.hh"
+#include "util/metrics.hh"
 
 namespace mbusim::core {
 namespace {
@@ -249,6 +251,129 @@ TEST(ResilienceTest, MidLockstepInterruptResumesBitIdentical)
                   baseline.runs[i].cyclesSaved);
     }
     std::filesystem::remove_all(dir);
+}
+
+/** Trace records of @p paths without the host-bookkeeping tail that
+ *  starts at the cohort field, sorted. */
+std::vector<std::string>
+traceRecords(const std::vector<std::string>& paths)
+{
+    std::vector<std::string> records;
+    for (const std::string& path : paths) {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            records.push_back(line.substr(0, line.find(",\"cohort\":")));
+    }
+    std::sort(records.begin(), records.end());
+    return records;
+}
+
+/** Run records a journal file holds. */
+uint32_t
+journalRuns(const std::string& path)
+{
+    std::ifstream in(path);
+    std::string line;
+    uint32_t runs = 0;
+    while (std::getline(in, line))
+        runs += line.rfind("run ", 0) == 0;
+    return runs;
+}
+
+TEST(ResilienceTest, InterruptInSharedCursorUnitResumesBitIdentical)
+{
+    // The in-process sweep rides all 18 cells of a program on one
+    // lockstep cursor per checkpoint interval. An interrupt inside
+    // such a unit leaves several cells part-done at once: none of them
+    // may reach the disk cache, every cell finished before it must,
+    // and the resumed sweep must end record-identical to an
+    // uninterrupted one.
+    const std::string cache_dir = freshDir("mbusim_shared_cache");
+    const std::string journal_dir = freshDir("mbusim_shared_journal");
+    const std::string trace_dir = freshDir("mbusim_shared_trace");
+    std::filesystem::create_directories(trace_dir);
+    constexpr uint32_t Injections = 10;
+
+    StudyConfig config;
+    config.workloads = {"stringsearch"};
+    config.injections = Injections;
+    config.threads = 1;
+    config.cacheDir = cache_dir;
+    config.journalDir = journal_dir;
+    // As if ^C arrived once 150 of the 180 runs are done: late enough
+    // that some cells have finished, inside a unit that still carries
+    // runs of several others.
+    Counter& simulated = metrics().counter("campaign.runs_simulated");
+    const uint64_t start = simulated.value();
+    config.hostFaultHook = [&simulated, start](uint32_t, uint32_t) {
+        if (simulated.value() - start >= 150)
+            requestInterrupt();
+    };
+    config.trace =
+        std::make_shared<JsonlWriter>(trace_dir + "/first.jsonl");
+    SweepReport first;
+    {
+        Study study(config);
+        first = study.runSweep();
+    }
+    config.trace->close();
+    clearInterrupt();
+    ASSERT_TRUE(first.cancelled);
+    EXPECT_GT(first.simulatedCells, 0u);
+
+    // A cell is in the cache exactly when its journal holds every run.
+    uint32_t partial = 0, complete = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(journal_dir)) {
+        const std::string name = entry.path().filename().string();
+        const std::string key = name.substr(0, name.find(".journal"));
+        const uint32_t runs = journalRuns(entry.path().string());
+        const bool cached =
+            std::filesystem::exists(cache_dir + "/" + key + ".txt");
+        EXPECT_EQ(cached, runs == Injections) << key << ": " << runs;
+        partial += runs > 0 && runs < Injections;
+        complete += runs == Injections;
+    }
+    EXPECT_EQ(complete, first.simulatedCells);
+    // The interrupted unit spanned cells: several are part-done.
+    EXPECT_GE(partial, 2u);
+
+    config.hostFaultHook = nullptr;
+    config.trace =
+        std::make_shared<JsonlWriter>(trace_dir + "/second.jsonl");
+    SweepReport second;
+    {
+        Study study(config);
+        second = study.runSweep();
+    }
+    config.trace->close();
+    EXPECT_FALSE(second.cancelled);
+    EXPECT_EQ(second.cachedCells, first.simulatedCells);
+    EXPECT_EQ(second.cachedCells + second.simulatedCells, 18u);
+    EXPECT_GT(second.runsResumed, 0u);
+
+    // Finished cells were traced by the first sweep, the rest (with
+    // their replayed runs) by the second: together, every run once,
+    // identical to a sweep that was never interrupted.
+    StudyConfig pristine;
+    pristine.workloads = config.workloads;
+    pristine.injections = Injections;
+    pristine.threads = 1;
+    pristine.trace =
+        std::make_shared<JsonlWriter>(trace_dir + "/pristine.jsonl");
+    Study(pristine).runSweep();
+    pristine.trace->close();
+    const std::vector<std::string> expected =
+        traceRecords({trace_dir + "/pristine.jsonl"});
+    EXPECT_EQ(expected.size(), 18u * Injections);
+    EXPECT_EQ(traceRecords({trace_dir + "/first.jsonl",
+                            trace_dir + "/second.jsonl"}),
+              expected);
+
+    std::filesystem::remove_all(cache_dir);
+    std::filesystem::remove_all(journal_dir);
+    std::filesystem::remove_all(trace_dir);
 }
 
 TEST(ResilienceTest, CorruptJournalRecordIsResimulated)

@@ -13,9 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <regex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "core/study.hh"
 #include "util/interrupt.hh"
 #include "util/log.hh"
+#include "util/metrics.hh"
 
 namespace mbusim::core {
 namespace {
@@ -68,6 +74,38 @@ fileCount(const std::string& dir)
         ++n;
     }
     return n;
+}
+
+/**
+ * The deterministic part of every record in a --trace-out file,
+ * sorted: run, workload, component, faults, mask, cycle, outcome,
+ * exit reason, cycles, cycles saved and restored-from. The host
+ * bookkeeping tail (cohort, replayed, wall_us, forked_at) starts at
+ * the cohort field and is cut off.
+ */
+std::vector<std::string>
+traceRecords(const std::string& path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> records;
+    std::string line;
+    while (std::getline(in, line))
+        records.push_back(line.substr(0, line.find(",\"cohort\":")));
+    std::sort(records.begin(), records.end());
+    return records;
+}
+
+/** Run one sweep with a trace; returns its records. */
+std::vector<std::string>
+tracedSweep(StudyConfig config, const std::string& path)
+{
+    config.trace = std::make_shared<JsonlWriter>(path);
+    {
+        Study study(config);
+        EXPECT_FALSE(study.runSweep().cancelled);
+    }
+    config.trace->close();
+    return traceRecords(path);
 }
 
 StudyConfig
@@ -276,6 +314,136 @@ TEST_F(SweepTest, SerialFallbackMatchesScheduler)
                           .counts.counts);
         }
     }
+}
+
+TEST_F(SweepTest, SharedCursorsMatchPerCellAndPerRunRecords)
+{
+    // The in-process sweep rides every cell of a program on one
+    // lockstep cursor per checkpoint interval. Records must equal,
+    // field for field, both the serial loop's per-cell lockstep
+    // cursors and per-run execution with no cursor at all.
+    std::string dir = freshDir("mbusim_sweep_shared");
+    std::filesystem::create_directories(dir);
+    StudyConfig config = sweepConfig(1);
+    config.injections = 12;
+    Counter& cursor = metrics().counter("campaign.cursor_cycles");
+    Counter& forks = metrics().counter("campaign.forks");
+    Counter& never = metrics().counter("campaign.never_forked");
+
+    config.sweepScheduler = false;
+    uint64_t before = cursor.value();
+    const std::vector<std::string> per_cell =
+        tracedSweep(config, dir + "/serial.jsonl");
+    const uint64_t per_cell_cursor = cursor.value() - before;
+    ASSERT_EQ(per_cell.size(), 36u * 12u);
+
+    config.sweepScheduler = true;
+    config.threads = 4;
+    setenv("MBUSIM_COHORT", "0", 1);
+    const std::vector<std::string> per_run =
+        tracedSweep(config, dir + "/per_run.jsonl");
+    unsetenv("MBUSIM_COHORT");
+    EXPECT_EQ(per_run, per_cell);
+
+    for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(strprintf("threads=%u", threads));
+        config.threads = threads;
+        const std::string path =
+            dir + strprintf("/shared%u.jsonl", threads);
+        before = cursor.value();
+        const uint64_t forks_before = forks.value();
+        const uint64_t never_before = never.value();
+        EXPECT_EQ(tracedSweep(config, path), per_cell);
+
+        // Vacuity guards: the shared path forked and retired runs
+        // straight from overlays, its cursors replayed fewer golden
+        // cycles than the per-cell ones, and some cursor carried two
+        // cells with different fault targets.
+        EXPECT_GT(forks.value() - forks_before, 0u);
+        EXPECT_GT(never.value() - never_before, 0u);
+        EXPECT_LT(cursor.value() - before, per_cell_cursor);
+        static const std::regex fields(
+            "\"workload\":\"([^\"]+)\",\"component\":\"([^\"]+)\","
+            "\"faults\":([0-9]+).*\"cohort\":\\[([0-9]+),");
+        std::map<std::string, std::set<std::string>> cells, targets;
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line)) {
+            std::smatch m;
+            ASSERT_TRUE(std::regex_search(line, m, fields)) << line;
+            cells[m[4]].insert(m[1].str() + m[2].str() + m[3].str());
+            targets[m[4]].insert(m[2]);
+        }
+        size_t widest = 0;
+        for (const auto& [unit, components] : targets)
+            widest = std::max(widest, std::min(components.size(),
+                                               cells[unit].size()));
+        EXPECT_GE(widest, 2u);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST_F(SweepTest, ShallowQueueSplitsSharedUnitsCycleContiguously)
+{
+    // Without checkpoints a program has a single interval, so two
+    // programs give two shared units — fewer than two per worker at 4
+    // threads. They are split into cycle-contiguous chunks of at most
+    // runs/(2 x threads) runs, queued largest first, and the records
+    // still equal the serial loop's.
+    setenv("MBUSIM_CHECKPOINTS", "0", 1);
+    StudyConfig config = sweepConfig(4);
+    config.injections = 8;
+    {
+        Study study(config);
+        SweepReport report;
+        std::vector<std::string> cached;
+        auto cells = study.prepareSweepCells(report, cached, 4);
+        const std::vector<SweepUnit> units = fuseSweepUnits(cells, 4);
+        const uint64_t runs = 36u * 8u;
+        const uint64_t max_chunk = (runs + 7) / 8;
+        EXPECT_GT(units.size(), 2u);
+        uint64_t total = 0;
+        bool spans_cells = false;
+        // Cycle-contiguous: per program, the chunks' injection-cycle
+        // windows [first, last] do not overlap.
+        std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>>
+            windows;
+        for (size_t u = 0; u < units.size(); ++u) {
+            EXPECT_LE(units[u].runs, max_chunk);
+            if (u > 0) {
+                EXPECT_LE(units[u].cost, units[u - 1].cost);
+            }
+            total += units[u].runs;
+            spans_cells |= units[u].cells.size() >= 2;
+            std::pair<uint64_t, uint64_t> window{UINT64_MAX, 0};
+            for (size_t i = 0; i < units[u].cells.size(); ++i) {
+                for (uint32_t index : units[u].cohorts[i].indices) {
+                    const uint64_t cycle =
+                        units[u].cells[i]->exec->injectionCycle(index);
+                    window.first = std::min(window.first, cycle);
+                    window.second = std::max(window.second, cycle);
+                }
+            }
+            windows[units[u].cells.front()->workload->name].push_back(
+                window);
+        }
+        for (auto& [workload, spans] : windows) {
+            std::sort(spans.begin(), spans.end());
+            for (size_t j = 1; j < spans.size(); ++j)
+                EXPECT_LE(spans[j - 1].second, spans[j].first) << workload;
+        }
+        EXPECT_EQ(total, runs);
+        EXPECT_TRUE(spans_cells);
+    }
+
+    std::string dir = freshDir("mbusim_sweep_split");
+    std::filesystem::create_directories(dir);
+    const std::vector<std::string> split =
+        tracedSweep(config, dir + "/split.jsonl");
+    config.sweepScheduler = false;
+    EXPECT_EQ(split, tracedSweep(config, dir + "/serial.jsonl"));
+    unsetenv("MBUSIM_CHECKPOINTS");
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(SweepTest, EnvKnobDisablesScheduler)

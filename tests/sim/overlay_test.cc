@@ -185,6 +185,129 @@ TEST(BitArrayOverlays, LegacyApiIsOverlayZero)
     EXPECT_TRUE(a.overlayPropagated(0));
 }
 
+TEST(BitArrayOverlays, ChangeCounterMovesOnOverwriteGhostAndClearOnly)
+{
+    // The lockstep driver re-captures a rider's fork-base flips only
+    // when its overlay's change counter moved, so the counter must
+    // move on every change to the overlay's live or ghost set and on
+    // nothing that leaves both sets alone.
+    BitArray a(8, 64);
+    uint32_t ov1 = a.beginOverlay();
+    uint32_t ov2 = a.beginOverlay();
+    a.trackFlipIn(ov1, 1, 3);
+    a.trackFlipIn(ov1, 1, 9);
+    a.trackFlipIn(ov1, 2, 5);
+    a.trackFlipIn(ov2, 3, 7);
+    const uint64_t c1 = a.overlayChanges(ov1);
+    const uint64_t c2 = a.overlayChanges(ov2);
+
+    // Nothing else: untracked accesses, accesses of other rows, a
+    // flip, another overlay's death, a read of another overlay's bit.
+    (void)a.read(1, 20, 16);
+    a.write(4, 0, 64, 1);
+    a.write(1, 20, 8, 0);
+    a.flipBit(1, 3);
+    a.write(3, 0, 16, 0);          // kills ov2's only flip
+    EXPECT_EQ(a.overlayChanges(ov1), c1);
+    EXPECT_NE(a.overlayChanges(ov2), c2);
+
+    // Overwritten.
+    a.write(1, 9, 1, 0);
+    const uint64_t after_write = a.overlayChanges(ov1);
+    EXPECT_NE(after_write, c1);
+    // Ghosted.
+    a.setDiscardScope(ov1);
+    a.discardFlips(1, 3, 1);
+    a.setDiscardScope(BitArray::AllOverlays);
+    const uint64_t after_ghost = a.overlayChanges(ov1);
+    EXPECT_NE(after_ghost, after_write);
+    // Reading over a ghost changes nothing; erasing it does.
+    (void)a.read(1, 0, 8);
+    EXPECT_EQ(a.overlayChanges(ov1), after_ghost);
+    a.write(1, 0, 8, 0);
+    const uint64_t after_erase = a.overlayChanges(ov1);
+    EXPECT_NE(after_erase, after_ghost);
+    // Cleared.
+    a.clear();
+    EXPECT_NE(a.overlayChanges(ov1), after_erase);
+    EXPECT_EQ(a.overlayLiveCount(ov1), 0u);
+}
+
+TEST(BitArrayOverlays, RowGuardIsExactPerRow)
+{
+    // A shared cursor's tracked set rarely empties, so the row guard
+    // must drop a row the moment its last tracked bit goes, whatever
+    // other rows still hold.
+    BitArray a(130, 64);
+    uint32_t ov1 = a.beginOverlay();
+    uint32_t ov2 = a.beginOverlay();
+    uint32_t ov3 = a.beginOverlay();
+    a.trackFlipIn(ov1, 1, 3);
+    a.trackFlipIn(ov2, 1, 40);
+    a.trackFlipIn(ov2, 65, 2);
+    a.trackFlipIn(ov3, 129, 8);
+    EXPECT_TRUE(a.guardsRow(1));
+    EXPECT_TRUE(a.guardsRow(65));
+    EXPECT_FALSE(a.guardsRow(0));
+    EXPECT_FALSE(a.guardsRow(64));
+
+    // Row 1 keeps its guard until its last bit is gone.
+    a.write(1, 0, 8, 0);
+    EXPECT_TRUE(a.guardsRow(1));
+    // A ghost still needs the guard: an overwrite must erase it.
+    a.setDiscardScope(ov2);
+    a.discardFlips(1, 40, 1);
+    a.setDiscardScope(BitArray::AllOverlays);
+    EXPECT_TRUE(a.guardsRow(1));
+    a.write(1, 32, 16, 0);
+    EXPECT_FALSE(a.guardsRow(1));
+    EXPECT_TRUE(a.guardsRow(65));
+    EXPECT_TRUE(a.guardsRow(129));
+
+    // Propagation and dropOverlay release their rows too.
+    (void)a.read(65, 0, 8);
+    EXPECT_TRUE(a.overlayPropagated(ov2));
+    EXPECT_FALSE(a.guardsRow(65));
+    EXPECT_TRUE(a.guardsRow(129));
+    a.dropOverlay(ov3);
+    EXPECT_FALSE(a.guardsRow(129));
+}
+
+TEST(BitArrayOverlays, UnguardedRowsLeaveOtherOverlaysExact)
+{
+    // After rows leave the guard, the overlays still tracked elsewhere
+    // latch propagation and death exactly as before, and a row tracked
+    // again is guarded again.
+    BitArray a(64, 64);
+    uint32_t ov1 = a.beginOverlay();
+    uint32_t ov2 = a.beginOverlay();
+    uint32_t ov3 = a.beginOverlay();
+    a.trackFlipIn(ov1, 5, 1);
+    a.trackFlipIn(ov2, 6, 2);
+    a.trackFlipIn(ov3, 7, 3);
+    a.write(5, 0, 8, 0);                 // ov1 dies, row 5 unguarded
+    EXPECT_EQ(a.overlayLiveCount(ov1), 0u);
+    EXPECT_FALSE(a.guardsRow(5));
+    a.clearTrackingEvents();
+
+    (void)a.read(5, 0, 64);              // unguarded row: no event
+    EXPECT_FALSE(a.trackingEventsPending());
+    (void)a.read(6, 0, 8);               // ov2 propagates
+    EXPECT_TRUE(a.overlayPropagated(ov2));
+    EXPECT_TRUE(a.trackingEventsPending());
+    a.clearTrackingEvents();
+    a.write(7, 0, 8, 0);                 // ov3 dies
+    EXPECT_EQ(a.overlayLiveCount(ov3), 0u);
+    EXPECT_FALSE(a.overlayPropagated(ov3));
+    EXPECT_TRUE(a.trackingEventsPending());
+
+    uint32_t ov4 = a.beginOverlay();
+    a.trackFlipIn(ov4, 5, 9);
+    EXPECT_TRUE(a.guardsRow(5));
+    (void)a.bit(5, 9);
+    EXPECT_TRUE(a.overlayPropagated(ov4));
+}
+
 // ---------------------------------------------------------------------
 // Simulator lockstep API.
 
