@@ -256,7 +256,6 @@ main(int argc, char** argv)
     unsetenv("MBUSIM_DECODE_CACHE");
     unsetenv("MBUSIM_DELTA_SNAPSHOTS");
     unsetenv("MBUSIM_COHORT");
-    unsetenv("MBUSIM_LOCKSTEP");
     unsetenv("MBUSIM_EARLY_EXIT");
     unsetenv("MBUSIM_DIGEST_POINTS");
     unsetenv("MBUSIM_CHECKPOINTS");

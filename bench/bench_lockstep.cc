@@ -2,14 +2,15 @@
  * @file
  * Lockstep divergence-on-demand speedup bench (DESIGN.md §15).
  *
- * Runs the same L1D 2-bit injection campaign three times — cohort
- * cursor (PR baseline: batching on, lockstep and early exit off),
- * lockstep (overlay riding on, early exit off), and lockstep + early
- * exit (the default engine) — as google-benchmark cases. The first
- * two arms isolate the overlay-riding gain: identical semantics, so
- * their RunRecords must match field for field (fatal otherwise), and
- * runs that never fork simulate zero private cycles instead of a full
- * golden tail each. The third arm shows the shipped composition.
+ * Runs the same L1D 2-bit injection campaign three times — straight
+ * (the reference: cohort batching and early exit off, every run
+ * restores its ladder checkpoint and simulates alone), lockstep
+ * (overlay riding on, early exit off), and lockstep + early exit (the
+ * default engine) — as google-benchmark cases. The first two arms
+ * isolate the lockstep gain: identical semantics, so their RunRecords
+ * must match field for field (fatal otherwise), and runs that never
+ * fork simulate zero private cycles instead of a full golden tail
+ * each. The third arm shows the shipped composition.
  *
  * A fourth case microbenches the BitArray hot-path cost the tracking
  * machinery adds to *non-injected* accesses: reads against an array
@@ -49,7 +50,7 @@ struct Arm
 };
 
 constexpr Arm Arms[] = {
-    {"cohort cursor", false, false},
+    {"straight", false, false},
     {"lockstep", true, false},
     {"lockstep + early exit", true, true},
 };
@@ -75,8 +76,7 @@ benchConfig(const Arm& arm)
     config.faults = 2;
     config.injections =
         static_cast<uint32_t>(envInt("MBUSIM_INJECTIONS", 120));
-    config.cohortBatching = true;
-    config.lockstep = arm.lockstep;
+    config.cohortBatching = arm.lockstep;
     config.earlyExit = arm.earlyExit;
     if (!arm.earlyExit)
         config.digestPoints = 0;
@@ -189,7 +189,7 @@ report()
     std::printf("\n");
     table.print();
 
-    // The cohort-cursor and lockstep arms share semantics exactly
+    // The straight and lockstep arms share semantics exactly
     // (early exit off in both): their records must be bit-identical,
     // not merely count-identical — the whole §15 guarantee.
     const ArmOutcome& lockstep = outcomes[1];
@@ -206,11 +206,11 @@ report()
                 a[i].restoredFrom != b[i].restoredFrom ||
                 a[i].exitReason != b[i].exitReason ||
                 a[i].cyclesSaved != b[i].cyclesSaved) {
-                fatal("lockstep record %zu differs from cohort-cursor "
+                fatal("lockstep record %zu differs from straight "
                       "record", i);
             }
         }
-        std::printf("\nrecords bit-identical across cohort-cursor and "
+        std::printf("\nrecords bit-identical across straight and "
                     "lockstep arms (%zu runs)\n", a.size());
     }
 }
@@ -222,7 +222,6 @@ main(int argc, char** argv)
 {
     // The arms own these knobs; keep the environment from skewing them.
     unsetenv("MBUSIM_COHORT");
-    unsetenv("MBUSIM_LOCKSTEP");
     unsetenv("MBUSIM_EARLY_EXIT");
     unsetenv("MBUSIM_DIGEST_POINTS");
     unsetenv("MBUSIM_CHECKPOINTS");

@@ -226,9 +226,8 @@ Campaign::Campaign(const workloads::Workload& workload,
       earlyExit_(envUInt("MBUSIM_EARLY_EXIT",
                          config.earlyExit ? 1 : 0, 1) != 0),
       cohortBatching_(envUInt("MBUSIM_COHORT",
-                              config.cohortBatching ? 1 : 0, 1) != 0),
-      lockstep_(envUInt("MBUSIM_LOCKSTEP",
-                        config.lockstep ? 1 : 0, 1) != 0),
+                              config.cohortBatching ? 1 : 0, 1) != 0 &&
+                      config.lockstep),
       deltaSnapshots_(envUInt("MBUSIM_DELTA_SNAPSHOTS",
                               config.deltaSnapshots ? 1 : 0, 1) != 0),
       digestTarget_(static_cast<uint32_t>(
@@ -359,9 +358,23 @@ Campaign::planRun(const GoldenArtifacts& golden, uint32_t index,
     return plan;
 }
 
+sim::Injection
+Campaign::injection(uint64_t cycle,
+                    const std::vector<sim::BitFlip>& flips) const
+{
+    sim::Injection inj;
+    inj.target = config_.targetOverride ? *config_.targetOverride
+                                        : targetFor(config_.component);
+    inj.cycle = cycle;
+    inj.flips = flips;
+    return inj;
+}
+
 RunRecord
-Campaign::executePlan(const GoldenArtifacts& golden, const RunPlan& plan,
-                      const sim::Snapshot* start, uint32_t attempt) const
+Campaign::execute(const GoldenArtifacts& golden, const RunPlan& plan,
+                  const sim::Snapshot* start,
+                  const std::vector<sim::Injection>& injections,
+                  uint32_t attempt) const
 {
     if (config_.hostFaultHook)
         config_.hostFaultHook(plan.record.index, attempt);
@@ -370,21 +383,12 @@ Campaign::executePlan(const GoldenArtifacts& golden, const RunPlan& plan,
     sim::Simulator simulator =
         start ? sim::Simulator(program_, config_.cpu, *start)
               : sim::Simulator(program_, config_.cpu);
-    // restoredFrom always reports the resolved ladder checkpoint, even
-    // when a cursor snapshot (taken at the injection cycle itself)
-    // actually seeded the simulator: journal records and traces must
-    // not depend on which mode executed the run.
     record.restoredFrom =
         plan.checkpointIndex == NoCheckpoint
             ? 0
             : golden.checkpoints[plan.checkpointIndex].cycle;
-    sim::Injection injection;
-    injection.target = config_.targetOverride
-                           ? *config_.targetOverride
-                           : targetFor(config_.component);
-    injection.cycle = record.cycle;
-    injection.flips = record.mask.flips;
-    simulator.scheduleInjection(injection);
+    for (const sim::Injection& inj : injections)
+        simulator.scheduleInjection(inj);
 
     if (earlyExit_) {
         simulator.enableDeadFaultPruning();
@@ -399,14 +403,6 @@ Campaign::executePlan(const GoldenArtifacts& golden, const RunPlan& plan,
     static Counter& decode_hits =
         metrics().counter("campaign.decode_hits");
     decode_hits.add(simulator.cpu().decodeHits());
-    finishRecord(golden, record, faulty);
-    return record;
-}
-
-void
-Campaign::finishRecord(const GoldenArtifacts& golden, RunRecord& record,
-                       const sim::SimResult& faulty) const
-{
     if (faulty.earlyExit != sim::EarlyExit::None) {
         // The engine proved the remaining execution bit-identical to
         // golden: Masked, with golden's terminal cycle count instead
@@ -422,110 +418,24 @@ Campaign::finishRecord(const GoldenArtifacts& golden, RunRecord& record,
         record.outcome = classify(golden.result, faulty);
         record.cycles = faulty.cycles;
     }
-}
-
-RunRecord
-Campaign::executeFork(const GoldenArtifacts& golden, const RunPlan& plan,
-                      const sim::Snapshot& base,
-                      const std::vector<sim::BitFlip>& live_flips,
-                      const std::vector<sim::BitFlip>& ghost_flips,
-                      uint32_t attempt) const
-{
-    if (config_.hostFaultHook)
-        config_.hostFaultHook(plan.record.index, attempt);
-
-    RunRecord record = plan.record;
-    sim::Simulator simulator(program_, config_.cpu, base);
-    record.restoredFrom =
-        plan.checkpointIndex == NoCheckpoint
-            ? 0
-            : golden.checkpoints[plan.checkpointIndex].cycle;
-    // Re-injecting the still-live flips (tracked) and the ghost flips
-    // (untracked) reproduces the private run exactly: a private
-    // simulator's machine at the base cycle is golden XOR its live
-    // flips XOR its ghosts (flips a deadness proof untracked without
-    // anything having physically overwritten them — overwritten flips
-    // are already folded into the golden image), and its tracked set
-    // at that point is exactly the live flips.
-    sim::FaultTarget target = config_.targetOverride
-                                  ? *config_.targetOverride
-                                  : targetFor(config_.component);
-    sim::Injection injection;
-    injection.target = target;
-    injection.cycle = base.cycle;
-    injection.flips = live_flips;
-    injection.prePruned = true;
-    simulator.scheduleInjection(injection);
-    if (!ghost_flips.empty()) {
-        sim::Injection ghosts;
-        ghosts.target = target;
-        ghosts.cycle = base.cycle;
-        ghosts.flips = ghost_flips;
-        ghosts.prePruned = true;
-        ghosts.untracked = true;
-        simulator.scheduleInjection(ghosts);
-    }
-
-    if (earlyExit_) {
-        simulator.enableDeadFaultPruning();
-        if (!golden.digests.empty())
-            simulator.setGoldenDigests(&golden.digests);
-    }
-
-    sim::SimResult faulty =
-        simulator.run(golden.result.cycles * config_.timeoutFactor);
-    static Counter& decode_hits =
-        metrics().counter("campaign.decode_hits");
-    decode_hits.add(simulator.cpu().decodeHits());
-    finishRecord(golden, record, faulty);
     return record;
 }
 
 RunRecord
-Campaign::runForkIsolated(const GoldenArtifacts& golden,
-                          const RunPlan& plan, const sim::Snapshot& base,
-                          const std::vector<sim::BitFlip>& live_flips,
-                          const std::vector<sim::BitFlip>& ghost_flips)
+Campaign::executeIsolated(const GoldenArtifacts& golden,
+                          const RunPlan& plan, const sim::Snapshot* start,
+                          const std::vector<sim::Injection>& injections)
     const
-{
-    // Same fault-isolation discipline as runPlanIsolated: the fork is
-    // deterministic in (base, live flips), so one retry sees the
-    // identical divergence; a second escape lands in the Error bucket.
-    for (uint32_t attempt = 0; attempt < 2; ++attempt) {
-        try {
-            return executeFork(golden, plan, base, live_flips,
-                               ghost_flips, attempt);
-        } catch (const std::exception& e) {
-            warn("run %u of '%s' escaped the simulator (%s)%s",
-                 plan.record.index, workload_.name.c_str(), e.what(),
-                 attempt == 0 ? "; retrying" : "");
-        } catch (...) {
-            warn("run %u of '%s' escaped the simulator (non-standard "
-                 "exception)%s",
-                 plan.record.index, workload_.name.c_str(),
-                 attempt == 0 ? "; retrying" : "");
-        }
-    }
-    RunRecord record;
-    record.index = plan.record.index;
-    record.outcome = Outcome::Error;
-    return record;
-}
-
-RunRecord
-Campaign::runPlanIsolated(const GoldenArtifacts& golden,
-                          const RunPlan& plan,
-                          const sim::Snapshot* start) const
 {
     // The workload under fault is expected to reach broken states; the
     // simulator classifies those itself. Anything that still escapes —
     // a SimAssert leak, std::bad_alloc, a host bug — is confined to
-    // this run: one deterministic retry (the plan is fixed, so the
-    // retry sees the identical fault), then the Error bucket. Never
-    // std::terminate, never take the campaign down.
+    // this run: one deterministic retry (start and injections are
+    // fixed, so the retry sees the identical fault), then the Error
+    // bucket. Never std::terminate, never take the campaign down.
     for (uint32_t attempt = 0; attempt < 2; ++attempt) {
         try {
-            return executePlan(golden, plan, start, attempt);
+            return execute(golden, plan, start, injections, attempt);
         } catch (const std::exception& e) {
             warn("run %u of '%s' escaped the simulator (%s)%s",
                  plan.record.index, workload_.name.c_str(), e.what(),
@@ -566,7 +476,6 @@ Campaign::Execution::Execution(const Campaign& campaign, bool keep_runs)
                             Histogram::exponentialBounds(64, 2, 21));
     cohorts_ = &m.counter("campaign.cohorts");
     cursorCycles_ = &m.counter("campaign.cursor_cycles");
-    restoresAvoided_ = &m.counter("campaign.restores_avoided");
     forks_ = &m.counter("campaign.forks");
     overlayCycles_ = &m.counter("campaign.overlay_cycles");
     neverForked_ = &m.counter("campaign.never_forked");
@@ -692,7 +601,9 @@ Campaign::Execution::runIndex(uint32_t index)
         plan.checkpointIndex == NoCheckpoint
             ? nullptr
             : &golden.checkpoints[plan.checkpointIndex];
-    RunRecord record = campaign_.runPlanIsolated(golden, plan, start);
+    RunRecord record = campaign_.executeIsolated(
+        golden, plan, start,
+        {campaign_.injection(plan.record.cycle, plan.record.mask.flips)});
     record.wallMicros = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             Clock::now() - t0)
@@ -708,7 +619,7 @@ Campaign::Execution::planCohorts(uint32_t parallelism)
 
     std::vector<Cohort> cohorts;
     if (!campaign_.cohortBatching_) {
-        // Per-run restore mode: one unbatched singleton per pending
+        // The straight reference: one unbatched singleton per pending
         // run, in index order. The scheduling shape is shared with
         // batched mode; only the cursor is gone.
         for (uint32_t i = 0; i < injections; ++i) {
@@ -807,6 +718,20 @@ Campaign::Execution::makeCohort(const std::vector<uint32_t>& indices,
     return cohort;
 }
 
+namespace {
+
+/** Account one run a cohort call executed; @p remaining is what
+ *  complete() returned for it. */
+void
+tally(Campaign::Execution::CohortOutcome& out, uint32_t remaining)
+{
+    out.remaining = remaining;
+    out.retiredLast = out.retiredLast || remaining == 0;
+    ++out.executed;
+}
+
+} // namespace
+
 Campaign::Execution::CohortOutcome
 Campaign::Execution::runCohort(const Cohort& cohort,
                                const std::function<bool()>& stop)
@@ -817,7 +742,7 @@ Campaign::Execution::runCohort(const Cohort& cohort,
 bool
 Campaign::Execution::sharesCursor(const Cohort& cohort) const
 {
-    return cohort.batched && campaign_.lockstep_;
+    return cohort.batched;
 }
 
 uint64_t
@@ -837,14 +762,8 @@ Campaign::Execution::runShared(const std::vector<Rider>& riders,
             return r.exec->sharesCursor(*r.cohort);
         });
     if (!lockstep) {
-        // Nothing to share: each cohort keeps its own cursor (or none,
-        // for per-run restore).
-        for (size_t i = 0; i < riders.size(); ++i) {
-            const Rider& r = riders[i];
-            if (r.cohort->batched && !r.cohort->indices.empty())
-                r.exec->cohorts_->add(1);
-            r.exec->runCohortCursor(*r.cohort, stop, outs[i]);
-        }
+        for (size_t i = 0; i < riders.size(); ++i)
+            riders[i].exec->runStraight(*riders[i].cohort, stop, outs[i]);
         return outs;
     }
 
@@ -863,121 +782,25 @@ Campaign::Execution::runShared(const std::vector<Rider>& riders,
         lead.exec->cohorts_->add(1);
     }
     if (!runCohortLockstep(riders, stop, outs)) {
-        // The lockstep cursor failed with runs unretired: finish each
-        // cohort on the per-run cursor path (done_ guards skip every
-        // run lockstep already retired).
+        // The lockstep cursor failed with runs unretired: finish them
+        // straight (done_ guards skip every run lockstep retired).
         for (size_t i = 0; i < riders.size(); ++i)
-            riders[i].exec->runCohortCursor(*riders[i].cohort, stop,
-                                            outs[i]);
+            riders[i].exec->runStraight(*riders[i].cohort, stop, outs[i]);
     }
     return outs;
 }
 
 void
-Campaign::Execution::runCohortCursor(const Cohort& cohort,
-                                     const std::function<bool()>& stop,
-                                     CohortOutcome& out)
+Campaign::Execution::runStraight(const Cohort& cohort,
+                                 const std::function<bool()>& stop,
+                                 CohortOutcome& out)
 {
-    using Clock = std::chrono::steady_clock;
-    const GoldenArtifacts& golden = campaign_.golden();
-
-    // The warm golden cursor, created lazily on the cohort's first
-    // pending run and shared by every later one. If it ever fails
-    // (host fault during the golden replay), the rest of the cohort
-    // falls back to per-run restore — outcomes are identical either
-    // way, only the prefix sharing is lost.
-    std::optional<sim::Simulator> cursor;
-    bool cursor_ok = true;
-    bool cursor_served = false;
-    uint32_t pos = 0;
     for (uint32_t index : cohort.indices) {
         if (stop && stop())
             break;
-        if (done_[index]) {
-            ++pos;
+        if (done_[index])
             continue;
-        }
-        const Clock::time_point t0 = Clock::now();
-        RunPlan plan = campaign_.planRun(golden, index, generator_);
-        RunRecord record;
-        uint64_t prefix = 0;
-        bool served = false;
-        if (cohort.batched && cursor_ok) {
-            try {
-                if (!cursor) {
-                    if (cohort.checkpointIndex != NoCheckpoint) {
-                        cursor.emplace(
-                            campaign_.program_, campaign_.config_.cpu,
-                            golden.checkpoints[cohort.checkpointIndex]);
-                    } else {
-                        cursor.emplace(campaign_.program_,
-                                       campaign_.config_.cpu);
-                    }
-                }
-                const uint64_t before = cursor->cycle();
-                cursor->advanceTo(plan.record.cycle);
-                cursorCycles_->add(cursor->cycle() - before);
-                decodeHits_->add(cursor->cpu().decodeHits());
-                cursor->cpu().resetDecodeCounters();
-                // Delta checkpoints reuse the cursor's pooled buffer:
-                // the pointer stays valid until the next
-                // deltaCheckpoint() call, and runPlanIsolated only
-                // reads it while seeding the run's own simulator.
-                sim::Snapshot full;
-                const sim::Snapshot* at;
-                if (campaign_.deltaSnapshots_) {
-                    uint64_t delta_bytes = 0;
-                    at = &cursor->deltaCheckpoint(&delta_bytes);
-                    snapshotBytes_->add(delta_bytes);
-                } else {
-                    full = cursor->checkpoint();
-                    at = &full;
-                }
-                record = campaign_.runPlanIsolated(golden, plan, at);
-                // The run's own simulator started at the injection
-                // cycle: the whole golden prefix was the cursor's.
-                prefix = plan.record.cycle;
-                if (cursor_served)
-                    restoresAvoided_->add(1);
-                cursor_served = true;
-                served = true;
-            } catch (const std::exception& e) {
-                warn("cohort %lld cursor of '%s' failed (%s); "
-                     "falling back to per-run restore",
-                     static_cast<long long>(cohort.id),
-                     campaign_.workload_.name.c_str(), e.what());
-                cursor_ok = false;
-                cursor.reset();
-            } catch (...) {
-                warn("cohort %lld cursor of '%s' failed; falling back "
-                     "to per-run restore",
-                     static_cast<long long>(cohort.id),
-                     campaign_.workload_.name.c_str());
-                cursor_ok = false;
-                cursor.reset();
-            }
-        }
-        if (!served) {
-            const sim::Snapshot* start =
-                plan.checkpointIndex == NoCheckpoint
-                    ? nullptr
-                    : &golden.checkpoints[plan.checkpointIndex];
-            record = campaign_.runPlanIsolated(golden, plan, start);
-            prefix = record.restoredFrom;
-        }
-        if (cohort.batched) {
-            record.cohortId = cohort.id;
-            record.cohortPos = pos;
-        }
-        record.wallMicros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - t0)
-                .count());
-        out.remaining = complete(std::move(record), prefix);
-        if (out.remaining == 0)
-            out.retiredLast = true;
-        ++out.executed;
-        ++pos;
+        tally(out, runIndex(index));
     }
 }
 
@@ -1047,7 +870,7 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
     // The rolling fork base. In delta mode it points at the cursor's
     // pooled deltaCheckpoint() buffer: the buffer only changes on the
     // next deltaCheckpoint() call (attach events), forks are processed
-    // before attaches, and runForkIsolated reads the base while the
+    // before attaches, and executeIsolated reads the base while the
     // cursor is parked — so the pointee is always the fork-base state.
     sim::Snapshot baseCopy;
     const sim::Snapshot* base = &baseCopy;
@@ -1067,12 +890,8 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
             std::chrono::duration_cast<std::chrono::microseconds>(
                 Clock::now() - t0)
                 .count());
-        CohortOutcome& out = outs[rider];
-        out.remaining =
-            riders[rider].exec->complete(std::move(record), prefix);
-        if (out.remaining == 0)
-            out.retiredLast = true;
-        ++out.executed;
+        tally(outs[rider],
+              riders[rider].exec->complete(std::move(record), prefix));
     };
     // Retire a run straight from its overlay — zero private
     // simulation. With the early-exit engine on, a run whose flips
@@ -1119,8 +938,24 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
             at > run.plan.record.cycle ? at - run.plan.record.cycle
                                        : 0);
         cursor->dropOverlay(run.handle);
-        RunRecord record = exec.campaign_.runForkIsolated(
-            golden, run.plan, *base, run.liveAtBase, run.ghostAtBase);
+        // Re-injecting the still-live flips (tracked) and the ghost
+        // flips (untracked) reproduces the straight run exactly: its
+        // machine at the base cycle is golden XOR its live flips XOR
+        // its ghosts (flips a deadness proof untracked without
+        // anything having physically overwritten them — overwritten
+        // flips are already folded into the golden image), and its
+        // tracked set there is exactly the live flips.
+        std::vector<sim::Injection> injections{
+            exec.campaign_.injection(base->cycle, run.liveAtBase)};
+        injections.back().prePruned = true;
+        if (!run.ghostAtBase.empty()) {
+            injections.push_back(
+                exec.campaign_.injection(base->cycle, run.ghostAtBase));
+            injections.back().prePruned = true;
+            injections.back().untracked = true;
+        }
+        RunRecord record = exec.campaign_.executeIsolated(
+            golden, run.plan, base, injections);
         record.forkedAt = static_cast<int64_t>(at);
         finish(std::move(record), base->cycle, run.rider, run.pos,
                run.t0);
@@ -1178,7 +1013,7 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
                 if (next < todo.size()) {
                     // Injection cycles are drawn below the golden
                     // cycle count, so this cannot happen; bail to the
-                    // per-run path rather than drop runs.
+                    // straight path rather than drop runs.
                     return false;
                 }
                 break;
@@ -1203,25 +1038,19 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
                 ++next;
                 attached = true;
                 const Clock::time_point t0 = Clock::now();
-                const Campaign& campaign = riders[p.rider].exec->campaign_;
+                Execution& exec = *riders[p.rider].exec;
+                const Campaign& campaign = exec.campaign_;
                 if (campaign.config_.hostFaultHook) {
                     // The hook stands in for "a simulation attempt
                     // begins". If it throws, serve this run alone on
-                    // the isolated per-run path (retry-then-Error)
-                    // and keep the cohort riding.
+                    // the straight path (retry-then-Error) and keep
+                    // the cohort riding.
                     try {
                         campaign.config_.hostFaultHook(
                             p.plan.record.index, 0);
                     } catch (...) {
-                        const sim::Snapshot* start =
-                            p.plan.checkpointIndex == NoCheckpoint
-                                ? nullptr
-                                : &golden.checkpoints
-                                       [p.plan.checkpointIndex];
-                        RunRecord record = campaign.runPlanIsolated(
-                            golden, p.plan, start);
-                        finish(std::move(record), record.restoredFrom,
-                               p.rider, p.pos, t0);
+                        tally(outs[p.rider],
+                              exec.runIndex(p.plan.record.index));
                         continue;
                     }
                 }
@@ -1230,14 +1059,8 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
                 run.rider = p.rider;
                 run.pos = p.pos;
                 run.t0 = t0;
-                sim::Injection injection;
-                injection.target = campaign.config_.targetOverride
-                                       ? *campaign.config_.targetOverride
-                                       : targetFor(
-                                             campaign.config_.component);
-                injection.cycle = run.plan.record.cycle;
-                injection.flips = run.plan.record.mask.flips;
-                run.handle = cursor->attachOverlay(injection);
+                run.handle = cursor->attachOverlay(campaign.injection(
+                    run.plan.record.cycle, run.plan.record.mask.flips));
                 if (cursor->overlayLiveCount(run.handle) == 0) {
                     // Dead on arrival: the private engine's check
                     // fires in the same loop iteration, before the
@@ -1249,8 +1072,7 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
             }
             if (attached) {
                 // Refresh the rolling fork base: one snapshot per
-                // injection event (the same count the per-run cursor
-                // path pays), plus each rider's flips still live
+                // injection event, plus each rider's flips still live
                 // here. A later fork replays at most one
                 // inter-injection gap of golden prefix privately.
                 if (host.deltaSnapshots_) {
@@ -1281,13 +1103,13 @@ Campaign::Execution::runCohortLockstep(const std::vector<Rider>& riders,
         }
     } catch (const std::exception& e) {
         warn("cohort %lld lockstep cursor of '%s' failed (%s); "
-             "falling back to per-run restore",
+             "running its unretired runs straight",
              static_cast<long long>(riders.front().cohort->id),
              host.workload_.name.c_str(), e.what());
         return false;
     } catch (...) {
-        warn("cohort %lld lockstep cursor of '%s' failed; falling "
-             "back to per-run restore",
+        warn("cohort %lld lockstep cursor of '%s' failed; running "
+             "its unretired runs straight",
              static_cast<long long>(riders.front().cohort->id),
              host.workload_.name.c_str());
         return false;

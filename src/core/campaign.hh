@@ -114,35 +114,30 @@ struct CampaignConfig
      */
     uint32_t digestPoints = 64;
     /**
-     * Cohort-batched execution (DESIGN.md §13): group pending runs by
-     * their resolved restore checkpoint and serve each cohort, sorted
-     * by injection cycle, from one warm golden cursor — a single
-     * simulator that replays the golden segment once and snapshots at
-     * each run's injection cycle, instead of every run independently
-     * re-simulating the same golden prefix. Outcomes, run records and
-     * traces (modulo the cohort/wall-time fields) are bit-identical
-     * with batching on or off. Overridable via MBUSIM_COHORT
-     * (0 disables, falling back to per-run restore).
+     * Lockstep cohort execution (DESIGN.md §13, §15): group pending
+     * runs by their resolved restore checkpoint and ride each cohort,
+     * sorted by injection cycle, on one golden cursor as flip
+     * overlays. The cursor replays the golden segment once for all
+     * its runs; a run materializes a private simulator only when one of its
+     * flips is read (the fault propagated), and runs whose flips all
+     * die retire with golden terminal counts and zero private
+     * simulation. Outcomes, run records and traces (modulo the
+     * host-bookkeeping tail fields) are bit-identical with batching on
+     * or off. Overridable via MBUSIM_COHORT (0 = the straight per-run
+     * reference path: every run restores its ladder checkpoint and
+     * simulates on its own).
      */
     bool cohortBatching = true;
     /**
-     * Lockstep divergence-on-demand execution (DESIGN.md §15): inside
-     * a batched cohort, runs no longer fork a private simulator at
-     * injection time. Each run rides the shared warm golden cursor as
-     * a flip overlay; the cursor advances all unforked runs at once,
-     * and a run only materializes a private simulator when one of its
-     * flips is read (the fault propagated). Runs whose flips all die
-     * retire directly with golden terminal counts — zero private
-     * simulation. Outcomes, run records and traces (modulo the
-     * host-bookkeeping tail fields) are bit-identical with lockstep
-     * on or off. Overridable via MBUSIM_LOCKSTEP (0 disables, falling
-     * back to per-run cursor snapshots); moot when cohort batching is
-     * off.
+     * Alias of cohortBatching, kept only because the sweep benchmark's
+     * straight-simulation oracle assigns it: false selects the
+     * straight per-run path exactly as cohortBatching = false does.
+     * It goes away with the next change to the benchmark.
      */
     bool lockstep = true;
     /**
-     * Delta snapshots for the warm golden cursor (DESIGN.md §16):
-     * cursor checkpoints copy only the state written since the
+     * Delta snapshots for the lockstep cursor (DESIGN.md §16): its
+     * fork-base checkpoints copy only the state written since the
      * previous checkpoint into one pooled buffer instead of deep-
      * copying the whole machine every time. The folded snapshot is
      * byte-identical to a full checkpoint() at the same cycle, so
@@ -220,16 +215,16 @@ struct RunRecord
      * Cohort the run was scheduled in and its position within it.
      * Host-side bookkeeping like wallMicros: cohort assignment depends
      * on journal state and worker count, so it is never journalled
-     * (replayed and per-run-restored runs report -1) and is excluded
-     * from determinism comparisons.
+     * (replayed and straight runs report -1) and is excluded from
+     * determinism comparisons.
      */
     int64_t cohortId = -1;
     uint32_t cohortPos = 0;
     /**
      * Cycle this run left the lockstep cursor for a private simulator
-     * (-1 = it never forked: per-run/cursor modes, replayed runs, and
+     * (-1 = it never forked: straight runs, replayed runs, and
      * lockstep runs that retired straight from the overlay). Host-side
-     * bookkeeping like cohortId: which mode executed a run is not part
+     * bookkeeping like cohortId: which path executed a run is not part
      * of its outcome, so the field is never journalled and is excluded
      * from determinism comparisons.
      */
@@ -341,8 +336,8 @@ class Campaign
         /**
          * One schedulable batch of pending runs (DESIGN.md §13): runs
          * sharing a resolved restore checkpoint, ordered by ascending
-         * injection cycle (ties by index) so the warm golden cursor
-         * only ever moves forward. With cohort batching disabled,
+         * injection cycle (ties by index) so the lockstep cursor only
+         * ever moves forward. With cohort batching disabled,
          * planCohorts() degrades to one unbatched singleton cohort per
          * pending run in index order, so Campaign::run and
          * Study::runSweep schedule through one shape either way.
@@ -350,7 +345,9 @@ class Campaign
         struct Cohort
         {
             int64_t id = 0;             ///< dense id, plan order
-            bool batched = true;        ///< false = per-run restore
+            /** True = a lockstep unit; false = straight runs, each
+             *  restoring its own ladder checkpoint. */
+            bool batched = true;
             /** Ladder index of the shared restore checkpoint
              *  (NoCheckpoint = the cohort starts from cycle 0). */
             size_t checkpointIndex = NoCheckpoint;
@@ -385,8 +382,8 @@ class Campaign
          */
         std::vector<Cohort> planCohorts(uint32_t parallelism = 1);
         /**
-         * Execute a cohort's still-pending runs in order, keeping one
-         * warm golden cursor for batched cohorts. @p stop, when given,
+         * Execute a cohort's still-pending runs: batched cohorts on
+         * one lockstep cursor, the rest straight. @p stop, when given,
          * is polled between runs so a deadline/interrupt abandons the
          * cohort's tail (those runs simply stay pending). Each cohort
          * must be run by at most one caller. The one-execution case of
@@ -404,9 +401,8 @@ class Campaign
 
         /**
          * Can @p cohort ride a golden cursor shared with other
-         * executions' cohorts? True for batched cohorts under lockstep
-         * (DESIGN.md §15); per-run and cursor-mode cohorts keep a
-         * cursor of their own.
+         * executions' cohorts? True for batched cohorts (DESIGN.md
+         * §15); an unbatched cohort's runs go straight, one by one.
          */
         bool sharesCursor(const Cohort& cohort) const;
 
@@ -418,10 +414,10 @@ class Campaign
          * journalled and counted by its own execution. All riders must
          * share golden artifacts (one GoldenStore entry) and restore
          * checkpoint — a sweep groups every cell of a program this way
-         * — and must all sharesCursor(); otherwise each cohort runs on
-         * its own. Returns one CohortOutcome per rider, in order, each
-         * about its own execution. Results are bit-identical to running
-         * each cohort through runCohort().
+         * — and must all sharesCursor(); otherwise every rider's runs
+         * go straight. Returns one CohortOutcome per rider, in order,
+         * each about its own execution. Results are bit-identical to
+         * running each cohort through runCohort().
          */
         static std::vector<CohortOutcome>
         runShared(const std::vector<Rider>& riders,
@@ -430,9 +426,12 @@ class Campaign
         /** Injection cycle of run @p index (planned, not simulated). */
         uint64_t injectionCycle(uint32_t index) const;
         /**
-         * Simulate run @p index (fault-isolated, journalled) and
-         * return how many runs are still pending afterwards — zero
-         * means the campaign is complete and finalize() may be called.
+         * Simulate run @p index on the straight path — restore its
+         * ladder checkpoint, inject, run to the end (fault-isolated,
+         * journalled) — and return how many runs are still pending
+         * afterwards; zero means the campaign is complete and
+         * finalize() may be called. The reference every shortcut is
+         * held to, and the fallback for any run lockstep cannot serve.
          */
         uint32_t runIndex(uint32_t index);
         /**
@@ -478,25 +477,21 @@ class Campaign
         /**
          * Record a finished run: metrics, journal append, tallies.
          * @p skipped_prefix is the golden prefix this run's simulator
-         * never executed (checkpoint cycle in per-run mode, injection
-         * cycle in cursor mode, fork-base cycle for lockstep forks,
-         * and the run's full un-simulated extent for lockstep runs
-         * that never forked). @p journal_it is false for adopted
-         * records, whose durability lives in the producing worker's
-         * shard. Returns runs still pending.
+         * never executed (the ladder checkpoint cycle for straight
+         * runs, the fork-base cycle for lockstep forks, and the run's
+         * full un-simulated extent for lockstep runs that never
+         * forked). @p journal_it is false for adopted records, whose
+         * durability lives in the producing worker's shard. Returns
+         * runs still pending.
          */
         uint32_t complete(RunRecord&& record, uint64_t skipped_prefix,
                           bool journal_it = true);
 
-        /**
-         * The PR 6 cohort loop: one warm golden cursor, one private
-         * simulator per run from a cursor snapshot at its injection
-         * cycle. Accumulates into @p out. Skips done_ runs, so it also
-         * finishes a cohort the lockstep path abandoned mid-flight.
-         */
-        void runCohortCursor(const Cohort& cohort,
-                             const std::function<bool()>& stop,
-                             CohortOutcome& out);
+        /** Run @p cohort's still-pending runs through runIndex(),
+         *  accumulating into @p out. */
+        void runStraight(const Cohort& cohort,
+                         const std::function<bool()>& stop,
+                         CohortOutcome& out);
 
         /**
          * The lockstep loop (DESIGN.md §15), the one driver behind
@@ -505,8 +500,8 @@ class Campaign
          * terminal counts, propagated runs fork private simulators
          * from a rolling fork-base snapshot. Accumulates into
          * @p outs (one per rider). Returns false if the cursor failed
-         * with runs still unretired (the caller then falls back to
-         * runCohortCursor for each rider's remainder).
+         * with runs still unretired (the caller then runs each
+         * rider's remainder straight).
          */
         static bool runCohortLockstep(const std::vector<Rider>& riders,
                                       const std::function<bool()>& stop,
@@ -534,7 +529,6 @@ class Campaign
         Histogram* runWall_;
         Counter* cohorts_;          ///< batched cohorts executed
         Counter* cursorCycles_;     ///< golden cycles cursors advanced
-        Counter* restoresAvoided_;  ///< runs served by an already-warm cursor
         Counter* forks_;            ///< lockstep overlays forked private
         Counter* overlayCycles_;    ///< cycles runs rode the cursor
         Counter* neverForked_;      ///< lockstep runs retired overlay-only
@@ -566,58 +560,42 @@ class Campaign
     };
     RunPlan planRun(const GoldenArtifacts& golden, uint32_t index,
                     const MaskGenerator& generator) const;
+    /** The planned flips as an injection at @p cycle into this
+     *  campaign's fault target. */
+    sim::Injection injection(uint64_t cycle,
+                             const std::vector<sim::BitFlip>& flips) const;
     /**
-     * Simulate a planned run from @p start (nullptr = cycle 0). The
-     * snapshot may be the plan's ladder checkpoint or a cursor
-     * snapshot taken at the injection cycle itself — the continuation
-     * is bit-identical either way, and record.restoredFrom always
-     * reports the ladder checkpoint so journal records match across
-     * modes.
+     * Simulate a planned run from @p start (nullptr = cycle 0) with
+     * @p injections scheduled, and classify it against golden. A
+     * straight run starts at its ladder checkpoint with the plan's
+     * flips; a lockstep fork starts at the cohort's fork-base snapshot
+     * with the overlay's flips still live there (pre-pruned: they
+     * survived the attach-time screen, and re-screening against
+     * base-cycle state could discard flips a private run would still
+     * track) plus its ghost flips (untracked: discarded from liveness
+     * by a deadness proof but still physically present, and state
+     * digests hash every bit). The two are bit-identical: the machine
+     * at the base cycle is golden XOR the live and ghost flips, and
+     * the tracking engine starts in the state a straight run reaches
+     * there. record.restoredFrom always reports the ladder checkpoint,
+     * so records match whichever path ran.
      */
-    RunRecord executePlan(const GoldenArtifacts& golden,
-                          const RunPlan& plan,
-                          const sim::Snapshot* start,
-                          uint32_t attempt) const;
-    /** executePlan with the retry-then-Error fault isolation. */
-    RunRecord runPlanIsolated(const GoldenArtifacts& golden,
-                              const RunPlan& plan,
-                              const sim::Snapshot* start) const;
-    /**
-     * Simulate the private tail of a lockstep run that propagated:
-     * from the cohort's fork-base snapshot, re-injecting the overlay's
-     * @p live_flips at the base cycle (pre-pruned — they survived the
-     * attach-time screen; re-screening against base-cycle state could
-     * discard flips a private run would still track) plus its
-     * @p ghost_flips (applied untracked — discarded from liveness by a
-     * deadness proof but still physically present, and state digests
-     * hash every bit). Bit-identical to executePlan for the same run:
-     * the machine at the base cycle is golden XOR the live and ghost
-     * flips, and the tracking engine starts in the same state a
-     * private simulator would have reached there.
-     */
-    RunRecord executeFork(const GoldenArtifacts& golden,
-                          const RunPlan& plan, const sim::Snapshot& base,
-                          const std::vector<sim::BitFlip>& live_flips,
-                          const std::vector<sim::BitFlip>& ghost_flips,
-                          uint32_t attempt) const;
-    /** executeFork with the retry-then-Error fault isolation. */
-    RunRecord runForkIsolated(
+    RunRecord execute(const GoldenArtifacts& golden, const RunPlan& plan,
+                      const sim::Snapshot* start,
+                      const std::vector<sim::Injection>& injections,
+                      uint32_t attempt) const;
+    /** execute() with the retry-then-Error fault isolation. */
+    RunRecord executeIsolated(
         const GoldenArtifacts& golden, const RunPlan& plan,
-        const sim::Snapshot& base,
-        const std::vector<sim::BitFlip>& live_flips,
-        const std::vector<sim::BitFlip>& ghost_flips) const;
-    /** Classify @p faulty against golden into @p record (the shared
-     *  tail of executePlan and executeFork). */
-    void finishRecord(const GoldenArtifacts& golden, RunRecord& record,
-                      const sim::SimResult& faulty) const;
+        const sim::Snapshot* start,
+        const std::vector<sim::Injection>& injections) const;
 
     const workloads::Workload& workload_;
     CampaignConfig config_;
     sim::Program program_;
     uint32_t checkpointTarget_;    ///< resolved checkpoint count
     bool earlyExit_;               ///< resolved early-exit switch
-    bool cohortBatching_;          ///< resolved cohort switch
-    bool lockstep_;                ///< resolved lockstep switch
+    bool cohortBatching_;          ///< resolved cohort switch (and lockstep)
     bool deltaSnapshots_;          ///< resolved delta-snapshot switch
     uint32_t digestTarget_;        ///< resolved digest-point count
     uint32_t threads_;             ///< resolved worker count (>= 1)

@@ -574,11 +574,8 @@ Study::runSweep(const ProgressFn& progress)
     Gauge& workers_gauge = metrics().gauge("sweep.workers");
     Counter& busy_us = metrics().counter("sweep.worker_busy_us");
     Counter& cohorts_ctr = metrics().counter("campaign.cohorts");
-    Counter& avoided_ctr =
-        metrics().counter("campaign.restores_avoided");
     const uint64_t busy_before = busy_us.value();
     const uint64_t cohorts_before = cohorts_ctr.value();
-    const uint64_t avoided_before = avoided_ctr.value();
     queue_depth.set(static_cast<int64_t>(tasks.size()));
 
     std::atomic<size_t> next{0};
@@ -723,7 +720,7 @@ Study::runSweep(const ProgressFn& progress)
                     std::lock_guard<std::mutex> plock(progressMutex);
                     inform("sweep: %llu/%llu runs, %u/%u cells done | "
                            "depth=%lld workers=%u util=%.0f%% "
-                           "cohorts=%llu avoided=%llu %s",
+                           "cohorts=%llu %s",
                            static_cast<unsigned long long>(
                                runs_done.load()),
                            static_cast<unsigned long long>(runs_total),
@@ -732,8 +729,6 @@ Study::runSweep(const ProgressFn& progress)
                            threads, utilization,
                            static_cast<unsigned long long>(
                                cohorts_ctr.value() - cohorts_before),
-                           static_cast<unsigned long long>(
-                               avoided_ctr.value() - avoided_before),
                            metrics().snapshot()
                                .brief("campaign.run_wall_us")
                                .c_str());

@@ -338,8 +338,7 @@ forwardedEnvKnobs()
     static const std::vector<std::string> knobs = {
         "MBUSIM_CHECKPOINTS",    "MBUSIM_EARLY_EXIT",
         "MBUSIM_DIGEST_POINTS",  "MBUSIM_COHORT",
-        "MBUSIM_LOCKSTEP",       "MBUSIM_DELTA_SNAPSHOTS",
-        "MBUSIM_DECODE_CACHE",
+        "MBUSIM_DELTA_SNAPSHOTS", "MBUSIM_DECODE_CACHE",
     };
     return knobs;
 }

@@ -310,13 +310,19 @@ class BitArray
      * a caller-owned snapshot only when the flag is set (or the
      * snapshot has never been filled), then clears it. The flag is
      * meaningful only against a single snapshot buffer — the
-     * simulator's warm-cursor snapshot — which is exactly how
+     * lockstep cursor's fork-base snapshot — which is exactly how
      * Simulator::deltaCheckpoint() uses it.
      */
     /// @{
     /** Fold the current contents into @p snapshot, copying only if the
      *  array changed since the last fold. Returns bytes copied. */
     uint64_t fold(Snapshot& snapshot);
+    /** Changed since the last fold()? */
+    bool dirty() const { return dirty_; }
+    /** Declare the contents equal to the last fold() again. Only for
+     *  a caller that applied and then reverted the same flips (the
+     *  lockstep attach screen), which leaves every bit as it was. */
+    void markClean() { dirty_ = false; }
     /// @}
 
     /** Reset all bits to zero. */

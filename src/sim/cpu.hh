@@ -315,7 +315,7 @@ class Cpu
     void save(Snapshot& snapshot) const;
 
     /**
-     * Delta variant of save() for the warm-cursor snapshot
+     * Delta variant of save() for the lockstep cursor's snapshot
      * (DESIGN.md §16): the bit-backed arrays copy only if touched
      * since the previous fold into the same snapshot, the (small)
      * plain pipeline bookkeeping is always copied. Returns the bytes

@@ -96,7 +96,11 @@ Simulator::attachOverlay(const Injection& inj)
     // can hit the very valid bit the screen peeks), so it must see
     // the flips applied, exactly as a private simulator's injection
     // would. Apply, screen, revert: no cycle elapses, and flipBit is
-    // an involution, so the shared golden state is unchanged.
+    // an involution, so the shared golden state is unchanged — and so
+    // is the array's delta-snapshot dirty flag, which the round trip
+    // would otherwise raise, making every later fork-base fold re-copy
+    // the whole array.
+    const bool was_dirty = bits.dirty();
     for (const BitFlip& flip : inj.flips)
         bits.flipBit(flip.row, flip.col);
     bits.setDiscardScope(handle.id);
@@ -104,6 +108,8 @@ Simulator::attachOverlay(const Injection& inj)
     bits.setDiscardScope(BitArray::AllOverlays);
     for (const BitFlip& flip : inj.flips)
         bits.flipBit(flip.row, flip.col);
+    if (!was_dirty)
+        bits.markClean();
     if (std::find(overlayArrays_.begin(), overlayArrays_.end(), &bits) ==
         overlayArrays_.end()) {
         overlayArrays_.push_back(&bits);

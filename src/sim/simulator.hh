@@ -188,8 +188,8 @@ class Simulator
     Snapshot checkpoint() const;
 
     /**
-     * Delta variant of checkpoint() for the warm golden cursor
-     * (DESIGN.md §16): folds the machine into a pooled internal
+     * Delta variant of checkpoint() for the lockstep cursor's fork
+     * base (DESIGN.md §16): folds the machine into a pooled internal
      * snapshot buffer, copying only state touched since the previous
      * deltaCheckpoint() — each BitArray carries a dirty flag, physical
      * memory a dirty-page bitmap; the small plain bookkeeping is
@@ -206,13 +206,8 @@ class Simulator
 
     /**
      * Advance a running simulation to exactly @p cycle (no-op when the
-     * machine is already at or past it). Built for the cohort
-     * scheduler's warm golden cursor (DESIGN.md §13): one golden
-     * simulator advances monotonically through the injection cycles of
-     * a whole cohort, checkpoint()ing at each so the injected runs
-     * start from in-memory snapshots instead of each replaying the
-     * golden prefix. Must not be asked to advance past the program's
-     * natural end.
+     * machine is already at or past it). Must not be asked to advance
+     * past the program's natural end.
      */
     void advanceTo(uint64_t cycle);
 

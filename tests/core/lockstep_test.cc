@@ -1,17 +1,17 @@
 /**
  * @file
- * Lockstep divergence-on-demand equivalence sweep (DESIGN.md §15).
- * With lockstep on, a cohort's runs ride the shared golden cursor as
- * flip overlays and only materialize a private simulator when a flip
- * propagates; runs whose flips all die retire with zero private
- * simulation. That is a pure host-side scheduling change: against the
- * warm-cursor path (lockstep off) every campaign must produce
- * identical outcome counts and field-for-field identical RunRecords —
- * including the early-exit bookkeeping (exitReason, cyclesSaved,
- * restoredFrom) that the retire/fork shortcuts reconstruct without
- * simulating. And the sweep must demonstrably exercise both shortcut
- * paths (forks and never-forked retirements), or the proof is
- * vacuous.
+ * Lockstep cohort equivalence sweep (DESIGN.md §13, §15). A cohort's
+ * runs ride one shared golden cursor as flip overlays and only
+ * materialize a private simulator when a flip propagates; runs whose
+ * flips all die retire with zero private simulation. That is a pure
+ * host-side scheduling change: against the straight path (cohort
+ * batching off — every run restores its ladder checkpoint and
+ * simulates alone) every campaign must produce identical outcome
+ * counts and field-for-field identical RunRecords, including the
+ * early-exit bookkeeping (exitReason, cyclesSaved, restoredFrom) that
+ * the retire/fork shortcuts reconstruct without simulating. And the
+ * sweep must demonstrably exercise both shortcut paths (forks and
+ * never-forked retirements), or the proof is vacuous.
  */
 
 #include <gtest/gtest.h>
@@ -36,11 +36,11 @@ class LockstepTest : public ::testing::Test
         unsetenv("MBUSIM_DIGEST_POINTS");
         unsetenv("MBUSIM_CHECKPOINTS");
         unsetenv("MBUSIM_COHORT");
-        unsetenv("MBUSIM_LOCKSTEP");
         unsetenv("MBUSIM_JOURNAL_DIR");
     }
 };
 
+/** @p lockstep = false selects the straight reference path. */
 CampaignConfig
 armConfig(Component component, uint32_t faults, bool lockstep,
           uint32_t injections = 6, uint32_t threads = 1)
@@ -50,8 +50,7 @@ armConfig(Component component, uint32_t faults, bool lockstep,
     config.faults = faults;
     config.injections = injections;
     config.threads = threads;
-    config.cohortBatching = true;
-    config.lockstep = lockstep;
+    config.cohortBatching = lockstep;
     return config;
 }
 
@@ -110,6 +109,12 @@ TEST_F(LockstepTest, EquivalenceSweepAcrossComponentsAndCardinalities)
                 EXPECT_EQ(on.counts.counts, off.counts.counts);
                 EXPECT_EQ(on.goldenCycles, off.goldenCycles);
                 expectSameRuns(on, off);
+                for (const RunRecord& run : on.runs)
+                    EXPECT_GE(run.cohortId, 0);
+                for (const RunRecord& run : off.runs) {
+                    EXPECT_EQ(run.cohortId, -1);
+                    EXPECT_EQ(run.forkedAt, -1);
+                }
             }
         }
     }
@@ -122,42 +127,84 @@ TEST_F(LockstepTest, EquivalenceSweepAcrossComponentsAndCardinalities)
 
 TEST_F(LockstepTest, MultiThreadedLockstepMatchesSerialPerRun)
 {
-    // Worker interleaving across cohorts must not leak into results:
-    // a 3-worker lockstep campaign matches a serial per-run one.
+    // Cohort splitting and worker interleaving must not leak into
+    // results: a 3-worker lockstep campaign matches a serial straight
+    // one.
     const auto& w = workloads::workloadByName("stringsearch");
     CampaignResult lockstep =
         Campaign(w, armConfig(Component::L1D, 2, true, 24, 3))
             .run(true);
-    CampaignConfig serial_cfg =
-        armConfig(Component::L1D, 2, false, 24, 1);
-    serial_cfg.cohortBatching = false;
-    CampaignResult serial = Campaign(w, serial_cfg).run(true);
+    CampaignResult serial =
+        Campaign(w, armConfig(Component::L1D, 2, false, 24, 1))
+            .run(true);
     EXPECT_EQ(lockstep.counts.counts, serial.counts.counts);
     expectSameRuns(lockstep, serial);
 }
 
-TEST_F(LockstepTest, EnvKnobFallsBackToCursorRestore)
+TEST_F(LockstepTest, EnvKnobSelectsStraightPath)
 {
-    // MBUSIM_LOCKSTEP=0 overrides the config default: cohorts still
-    // run, but on the per-run warm-cursor path (no forks, no overlay
-    // retirements), with identical records.
+    // MBUSIM_COHORT=0 overrides the config default: no cohort is ever
+    // executed, no run forks or retires from an overlay, no run
+    // carries a cohort assignment, and the records are identical.
     const auto& w = workloads::workloadByName("stringsearch");
+    Counter& cohorts = metrics().counter("campaign.cohorts");
     Counter& forks = metrics().counter("campaign.forks");
     Counter& retired = metrics().counter("campaign.never_forked");
 
-    setenv("MBUSIM_LOCKSTEP", "0", 1);
+    setenv("MBUSIM_COHORT", "0", 1);
+    const uint64_t cohorts_before = cohorts.value();
     const uint64_t forks_before = forks.value();
     const uint64_t retired_before = retired.value();
     CampaignResult off =
         Campaign(w, armConfig(Component::L2, 1, true)).run(true);
-    unsetenv("MBUSIM_LOCKSTEP");
+    unsetenv("MBUSIM_COHORT");
+    EXPECT_EQ(cohorts.value(), cohorts_before);
     EXPECT_EQ(forks.value(), forks_before);
     EXPECT_EQ(retired.value(), retired_before);
+    for (const RunRecord& run : off.runs)
+        EXPECT_EQ(run.cohortId, -1);
 
+    // With the knob unset the config default applies again.
     CampaignResult on =
         Campaign(w, armConfig(Component::L2, 1, true)).run(true);
+    EXPECT_GT(cohorts.value(), cohorts_before);
     EXPECT_EQ(on.counts.counts, off.counts.counts);
     expectSameRuns(on, off);
+}
+
+TEST_F(LockstepTest, LockstepFalseSelectsStraightPath)
+{
+    // CampaignConfig::lockstep = false is an alias of
+    // cohortBatching = false: no cohort, no fork, no overlay
+    // retirement, and records identical field for field.
+    const auto& w = workloads::workloadByName("stringsearch");
+    Counter& cohorts = metrics().counter("campaign.cohorts");
+    Counter& forks = metrics().counter("campaign.forks");
+    Counter& retired = metrics().counter("campaign.never_forked");
+
+    CampaignConfig alias = armConfig(Component::L1D, 2, true, 12);
+    alias.lockstep = false;
+    const uint64_t cohorts_before = cohorts.value();
+    const uint64_t forks_before = forks.value();
+    const uint64_t retired_before = retired.value();
+    CampaignResult off = Campaign(w, alias).run(true);
+    EXPECT_EQ(cohorts.value(), cohorts_before);
+    EXPECT_EQ(forks.value(), forks_before);
+    EXPECT_EQ(retired.value(), retired_before);
+    for (const RunRecord& run : off.runs) {
+        EXPECT_EQ(run.cohortId, -1);
+        EXPECT_EQ(run.forkedAt, -1);
+    }
+
+    CampaignResult straight =
+        Campaign(w, armConfig(Component::L1D, 2, false, 12)).run(true);
+    EXPECT_EQ(off.counts.counts, straight.counts.counts);
+    expectSameRuns(off, straight);
+    CampaignResult on =
+        Campaign(w, armConfig(Component::L1D, 2, true, 12)).run(true);
+    EXPECT_GT(cohorts.value(), cohorts_before);
+    EXPECT_EQ(on.counts.counts, straight.counts.counts);
+    expectSameRuns(on, straight);
 }
 
 TEST_F(LockstepTest, ComposesWithEarlyExitDisabled)

@@ -154,12 +154,12 @@ TEST(ResilienceTest, InterruptedCampaignResumesBitIdentical)
 
 TEST(ResilienceTest, MidCohortInterruptResumesBitIdentical)
 {
-    // Interrupt in the middle of a warm-cursor cohort (the attempt
-    // counter fires mid-campaign regardless of which cohort serves
-    // which index): the cohort's executed head is journalled, its
-    // abandoned tail stays pending, and the resumed campaign — whose
-    // replayed runs drop out of their re-planned cohorts — must end
-    // bit-identical to a per-run-restore baseline.
+    // Interrupt in the middle of a cohort (the attempt counter fires
+    // mid-campaign regardless of which cohort serves which index): the
+    // cohort's retired runs are journalled, its abandoned tail stays
+    // pending, and the resumed campaign — whose replayed runs drop out
+    // of their re-planned cohorts — must end bit-identical to a
+    // straight baseline.
     const auto& w = workloads::workloadByName("stringsearch");
     CampaignConfig config = smallConfig(Component::L1D, 2, 30);
     config.cohortBatching = false;
@@ -208,7 +208,7 @@ TEST(ResilienceTest, MidLockstepInterruptResumesBitIdentical)
     // noticed at the cursor's next stop poll): attached-but-unfinished
     // overlays are abandoned without a journal entry, and the resumed
     // campaign — still on the lockstep path — must end bit-identical
-    // to a per-run baseline. This pins the journal discipline of the
+    // to a straight baseline. This pins the journal discipline of the
     // overlay shortcuts: a run is recorded only when it retires or its
     // fork finishes, never when it merely attaches.
     const auto& w = workloads::workloadByName("stringsearch");

@@ -52,7 +52,6 @@ class ChaosTest : public ::testing::Test
               "MBUSIM_DEADLINE_S", "MBUSIM_HEARTBEAT_S",
               "MBUSIM_EARLY_EXIT", "MBUSIM_DIGEST_POINTS",
               "MBUSIM_CHECKPOINTS", "MBUSIM_COHORT",
-              "MBUSIM_LOCKSTEP",
               "MBUSIM_WORKER_PROCS", "MBUSIM_WORKER_EXE",
               "MBUSIM_LEASE_TIMEOUT_S", "MBUSIM_RESPAWN_BUDGET",
               "MBUSIM_HOSTS", "MBUSIM_SHIP_GOLDEN",
@@ -248,18 +247,18 @@ TEST_F(ChaosTest, CrashedWorkerWorkIsReclaimed)
 
 /**
  * Lockstep chaos drill: workers crashing mid-sweep while cohorts ride
- * the shared golden cursor (MBUSIM_LOCKSTEP=1, the default). Overlay
- * state is confined to one worker's in-flight unit — an attached but
- * unretired run is never journalled, so no overlay can leak across a
- * dist frame boundary into another worker's replay. The reclaimed
- * sweep must match a serial, lockstep-off reference bit-for-bit on
- * every deterministic field.
+ * the shared golden cursor (the default). Overlay state is confined
+ * to one worker's in-flight unit — an attached but unretired run is
+ * never journalled, so no overlay can leak across a dist frame
+ * boundary into another worker's replay. The reclaimed sweep must
+ * match a serial reference on the straight path (MBUSIM_COHORT=0)
+ * bit-for-bit on every deterministic field.
  */
 TEST_F(ChaosTest, LockstepSurvivesWorkerCrashes)
 {
     std::string scratch = freshDir("lockstep_crash");
     EnvList serialEnvs = TinySweep;
-    serialEnvs.emplace_back("MBUSIM_LOCKSTEP", "0");
+    serialEnvs.emplace_back("MBUSIM_COHORT", "0");
     std::string serialTrace = scratch + "/serial.jsonl";
     SweepResult serialRun = runSweep(
         scratch, {"--serial", "--trace-out", serialTrace}, serialEnvs);
@@ -268,7 +267,6 @@ TEST_F(ChaosTest, LockstepSurvivesWorkerCrashes)
     ASSERT_FALSE(serial.empty());
 
     EnvList envs = TinySweep;
-    envs.emplace_back("MBUSIM_LOCKSTEP", "1");
     envs.emplace_back("MBUSIM_TEST_CRASH_AT", "2");
     std::string trace = scratch + "/dist.jsonl";
     SweepResult dist = runSweep(scratch,

@@ -392,6 +392,8 @@ TEST(CfgFrameTest, RejectsHostileVariants)
         "cfg injections=4 seed=1 cluster=3x3 timeout=4 inorder=0 "
         "hb=0 ship=1 e:MBUSIM_CHECKPOINTS=$(rm)", // non-numeric value
         "cfg injections=4 seed=1 cluster=3x3 timeout=4 inorder=0 "
+        "hb=0 ship=1 e:MBUSIM_" "LOCKSTEP=0",     // retired knob
+        "cfg injections=4 seed=1 cluster=3x3 timeout=4 inorder=0 "
         "hb=0 ship=1 garbage",                   // not k=v
     };
     for (const char* payload : hostile)

@@ -332,6 +332,42 @@ TEST(SimulatorLockstep, AttachLeavesGoldenStateUntouched)
     EXPECT_EQ(sim.stateDigest(), before);
 }
 
+TEST(SimulatorLockstep, AttachKeepsCleanArraysOutOfDeltaCheckpoints)
+{
+    // The attach screen applies and reverts the flips, leaving every
+    // bit as it was, so the next delta checkpoint must not re-copy the
+    // target array — and must still equal a full checkpoint().
+    Program p = workloads::workloadByName("stringsearch").assemble();
+    Simulator sim(p, CpuConfig{});
+    sim.advanceTo(300);
+    (void)sim.deltaCheckpoint();
+    uint64_t bytes = 1;
+    (void)sim.deltaCheckpoint(&bytes);
+    ASSERT_EQ(bytes, 0u);   // nothing changed since the first fold
+
+    for (FaultTarget target :
+         {FaultTarget::L1DData, FaultTarget::L2Tags,
+          FaultTarget::RegFileBits, FaultTarget::DtlbBits}) {
+        SCOPED_TRACE(static_cast<int>(target));
+        Injection inj;
+        inj.target = target;
+        inj.cycle = 300;
+        inj.flips = {{2, 5}, {2, 6}, {3, 5}};
+        (void)sim.attachOverlay(inj);
+        bytes = 1;
+        const Snapshot& delta = sim.deltaCheckpoint(&bytes);
+        EXPECT_EQ(bytes, 0u);
+        Snapshot full = sim.checkpoint();
+        EXPECT_EQ(delta.cpu.l1d.data.words, full.cpu.l1d.data.words);
+        EXPECT_EQ(delta.cpu.l2.tags.words, full.cpu.l2.tags.words);
+        EXPECT_EQ(delta.cpu.regFile.bits.words,
+                  full.cpu.regFile.bits.words);
+        EXPECT_EQ(delta.cpu.dtlb.bits.words, full.cpu.dtlb.bits.words);
+        EXPECT_EQ(Simulator(p, CpuConfig{}, delta).stateDigest(),
+                  Simulator(p, CpuConfig{}, full).stateDigest());
+    }
+}
+
 TEST(SimulatorLockstep, RunLockstepStopsAtBoundOrEvent)
 {
     Program p = workloads::workloadByName("stringsearch").assemble();

@@ -178,9 +178,9 @@ TEST(SnapshotTest, DeltaCheckpointMatchesFullCheckpointMidCohort)
     SimResult reference = straight.run(0);
     ASSERT_EQ(reference.status.kind, ExitKind::Exited);
 
-    // A warm-cursor sequence: several monotonically increasing stop
-    // cycles, one deltaCheckpoint per stop — exactly the campaign's
-    // cohort pattern. Every fold after the first is a genuine delta.
+    // A cursor sequence: several monotonically increasing stop
+    // cycles, one deltaCheckpoint per stop — the lockstep cursor's
+    // fork-base pattern. Every fold after the first is a genuine delta.
     Simulator cursor(p, config);
     const uint64_t cuts[] = {reference.cycles / 8, reference.cycles / 3,
                              reference.cycles / 2,
