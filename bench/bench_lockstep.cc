@@ -10,7 +10,10 @@
  * isolate the lockstep gain: identical semantics, so their RunRecords
  * must match field for field (fatal otherwise), and runs that never
  * fork simulate zero private cycles instead of a full golden tail
- * each. The third arm shows the shipped composition.
+ * each. The third arm shows the shipped composition. "Cycles
+ * simulated" counts what each arm really simulated, as the sweep
+ * benchmark does: the golden run plus the campaign.cursor_cycles and
+ * campaign.cycles_simulated deltas (cursor replay and private runs).
  *
  * A fourth case microbenches the BitArray hot-path cost the tracking
  * machinery adds to *non-injected* accesses: reads against an array
@@ -62,6 +65,7 @@ struct ArmOutcome
     bool measured = false;
     core::CampaignResult result;
     double seconds = 0.0;
+    uint64_t simCycles = 0;
     uint64_t forks = 0;
     uint64_t neverForked = 0;
     uint64_t overlayCycles = 0;
@@ -83,17 +87,6 @@ benchConfig(const Arm& arm)
     return config;
 }
 
-/** Cycles actually simulated by the injected runs: golden plus every
- *  faulty segment, net of skipped prefixes and early-exit savings. */
-uint64_t
-simulatedCycles(const core::CampaignResult& result)
-{
-    uint64_t cycles = result.goldenCycles;
-    for (const core::RunRecord& run : result.runs)
-        cycles += run.cycles - run.restoredFrom - run.cyclesSaved;
-    return cycles;
-}
-
 void
 BM_Campaign(benchmark::State& state, int arm_index)
 {
@@ -105,23 +98,27 @@ BM_Campaign(benchmark::State& state, int arm_index)
     Counter& forks = metrics().counter("campaign.forks");
     Counter& retired = metrics().counter("campaign.never_forked");
     Counter& overlay = metrics().counter("campaign.overlay_cycles");
+    Counter& cursor = metrics().counter("campaign.cursor_cycles");
+    Counter& simulated = metrics().counter("campaign.cycles_simulated");
     for (auto _ : state) {
         core::Campaign campaign(workload, config);
         const uint64_t f0 = forks.value();
         const uint64_t r0 = retired.value();
         const uint64_t o0 = overlay.value();
+        const uint64_t c0 = cursor.value() + simulated.value();
         auto start = std::chrono::steady_clock::now();
         out.result = campaign.run(true);
         out.seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
+        out.simCycles = out.result.goldenCycles + cursor.value() +
+                        simulated.value() - c0;
         out.forks = forks.value() - f0;
         out.neverForked = retired.value() - r0;
         out.overlayCycles = overlay.value() - o0;
         out.measured = true;
     }
-    state.counters["sim_cycles"] =
-        static_cast<double>(simulatedCycles(out.result));
+    state.counters["sim_cycles"] = static_cast<double>(out.simCycles);
     state.counters["forks"] = static_cast<double>(out.forks);
     state.counters["never_forked"] =
         static_cast<double>(out.neverForked);
@@ -175,7 +172,7 @@ report()
             fatal("lockstep changed campaign outcomes (arm '%s')",
                   Arms[i].name);
         table.addRow({Arms[i].name,
-                      fmtGrouped(simulatedCycles(arm.result)),
+                      fmtGrouped(arm.simCycles),
                       fmtGrouped(arm.overlayCycles),
                       strprintf("%.3f s", arm.seconds),
                       strprintf("%.2fx", base.seconds / arm.seconds),

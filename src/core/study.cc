@@ -500,6 +500,64 @@ fuseSweepUnits(const std::vector<std::unique_ptr<SweepCell>>& cells,
     return units;
 }
 
+void
+runSweepUnits(
+    const std::vector<SweepUnit>& units, uint32_t threads,
+    const std::function<bool()>& stop,
+    const std::function<void(SweepCell&,
+                             const Campaign::Execution::CohortOutcome&)>&
+        onRider)
+{
+    using Clock = std::chrono::steady_clock;
+    // Scheduler instruments (DESIGN.md §12): queue depth tracks the
+    // unclaimed tail of the unit list; worker_busy_us accumulates time
+    // spent inside units so a heartbeat can report pool utilization.
+    Gauge& queue_depth = metrics().gauge("sweep.queue_depth");
+    Counter& busy_us = metrics().counter("sweep.worker_busy_us");
+    queue_depth.set(static_cast<int64_t>(units.size()));
+
+    std::atomic<size_t> next{0};
+    auto worker = [&]() {
+        for (;;) {
+            if (stop())
+                return;
+            const size_t t = next.fetch_add(1);
+            if (t >= units.size())
+                return;
+            queue_depth.set(
+                static_cast<int64_t>(units.size() - (t + 1)));
+            const SweepUnit& unit = units[t];
+            std::vector<Campaign::Execution::Rider> riders;
+            riders.reserve(unit.cells.size());
+            for (size_t i = 0; i < unit.cells.size(); ++i)
+                riders.push_back({unit.cells[i]->exec.get(),
+                                  &unit.cohorts[i]});
+            const Clock::time_point run_start = Clock::now();
+            std::vector<Campaign::Execution::CohortOutcome> outs =
+                Campaign::Execution::runShared(riders, stop);
+            busy_us.add(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    Clock::now() - run_start)
+                    .count()));
+            for (size_t i = 0; i < outs.size(); ++i)
+                onRider(*unit.cells[i], outs[i]);
+        }
+    };
+
+    const uint32_t pool_size = static_cast<uint32_t>(std::max<uint64_t>(
+        1, std::min<uint64_t>(threads, units.size())));
+    if (pool_size == 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(pool_size);
+    for (uint32_t t = 0; t < pool_size; ++t)
+        pool.emplace_back(worker);
+    for (auto& t : pool)
+        t.join();
+}
+
 SweepReport
 Study::runSweep(const ProgressFn& progress)
 {
@@ -557,28 +615,25 @@ Study::runSweep(const ProgressFn& progress)
     std::vector<std::unique_ptr<SweepCell>> cells =
         prepareSweepCells(report, cached_keys, threads);
 
-    // --- Pass 3: one global queue of lockstep units, largest first.
-    // Workers claim units with a single atomic cursor, so a cell's
-    // Masked-heavy straggler tail overlaps other cells' work and the
-    // pool is spawned once per sweep, not once per campaign.
+    // --- Pass 3: one global queue of lockstep units, largest first
+    // (runSweepUnits), so a cell's Masked-heavy straggler tail overlaps
+    // other cells' work and the pool is spawned once per sweep, not
+    // once per campaign.
     std::vector<SweepUnit> tasks = fuseSweepUnits(cells, threads);
     uint64_t runs_total = 0;
     for (const SweepUnit& unit : tasks)
         runs_total += unit.runs;
 
-    // Scheduler instruments (DESIGN.md §12): queue depth tracks the
-    // unclaimed tail of the task list; worker_busy_us accumulates time
-    // spent inside runs so the heartbeat can report pool utilization
-    // (busy / (elapsed x workers)).
+    // Scheduler instruments (DESIGN.md §12), kept by runSweepUnits and
+    // read by the heartbeat: queue depth, and worker busy time for pool
+    // utilization (busy / (elapsed x workers)).
     Gauge& queue_depth = metrics().gauge("sweep.queue_depth");
     Gauge& workers_gauge = metrics().gauge("sweep.workers");
     Counter& busy_us = metrics().counter("sweep.worker_busy_us");
     Counter& cohorts_ctr = metrics().counter("campaign.cohorts");
     const uint64_t busy_before = busy_us.value();
     const uint64_t cohorts_before = cohorts_ctr.value();
-    queue_depth.set(static_cast<int64_t>(tasks.size()));
 
-    std::atomic<size_t> next{0};
     std::atomic<uint64_t> runs_done{0};
     std::atomic<bool> cancel{false};
     std::atomic<bool> finished{false};
@@ -647,40 +702,6 @@ Study::runSweep(const ProgressFn& progress)
         return true;
     };
 
-    auto worker = [&]() {
-        for (;;) {
-            if (shouldStop())
-                return;
-            size_t t = next.fetch_add(1);
-            if (t >= tasks.size())
-                return;
-            queue_depth.set(
-                static_cast<int64_t>(tasks.size() - (t + 1)));
-            const SweepUnit& unit = tasks[t];
-            std::vector<Campaign::Execution::Rider> riders;
-            riders.reserve(unit.cells.size());
-            for (size_t i = 0; i < unit.cells.size(); ++i)
-                riders.push_back({unit.cells[i]->exec.get(),
-                                  &unit.cohorts[i]});
-            const Clock::time_point run_start = Clock::now();
-            std::vector<Campaign::Execution::CohortOutcome> outs =
-                Campaign::Execution::runShared(riders, shouldStop);
-            busy_us.add(static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    Clock::now() - run_start)
-                    .count()));
-            // The worker that retires a cell's last run finalizes it:
-            // the cell is complete, so caching it is safe even if a
-            // cancellation raced in meanwhile. Exactly one rider per
-            // cell, across all units, observes retiredLast.
-            for (size_t i = 0; i < outs.size(); ++i) {
-                runs_done.fetch_add(outs[i].executed);
-                if (outs[i].retiredLast)
-                    finalizeCell(*unit.cells[i]);
-            }
-        }
-    };
-
     threads = std::max<uint64_t>(
         1, std::min<uint64_t>(threads, tasks.size()));
     workers_gauge.set(threads);
@@ -737,16 +758,16 @@ Study::runSweep(const ProgressFn& progress)
         });
     }
 
-    if (threads == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (uint32_t t = 0; t < threads; ++t)
-            pool.emplace_back(worker);
-        for (auto& t : pool)
-            t.join();
-    }
+    // The worker that retires a cell's last run finalizes it: the cell
+    // is complete, so caching it is safe even if a cancellation raced
+    // in meanwhile.
+    runSweepUnits(tasks, threads, shouldStop,
+                  [&](SweepCell& cell,
+                      const Campaign::Execution::CohortOutcome& out) {
+                      runs_done.fetch_add(out.executed);
+                      if (out.retiredLast)
+                          finalizeCell(cell);
+                  });
     if (monitor.joinable()) {
         {
             std::lock_guard<std::mutex> lock(monitorMutex);

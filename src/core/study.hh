@@ -125,9 +125,10 @@ struct SweepCell
 };
 
 /**
- * One queue entry of the in-process sweep (DESIGN.md §11, §15): the
- * cohorts of one or more cells that ride a single lockstep golden
- * cursor. cells[i] owns cohorts[i].
+ * One queue entry of a sweep (DESIGN.md §11, §14, §15): the cohorts of
+ * one or more cells that ride a single lockstep golden cursor.
+ * cells[i] owns cohorts[i]. The in-process sweep runs these; the
+ * distributed coordinator leases them to worker processes.
  */
 struct SweepUnit
 {
@@ -138,7 +139,7 @@ struct SweepUnit
 };
 
 /**
- * Build the in-process sweep's queue from planned cells: every cohort
+ * Build a sweep's queue from planned cells: every cohort
  * that can share a cursor (Execution::sharesCursor) is fused with the
  * other cells' cohorts of the same golden artifacts and restore
  * checkpoint — one unit per program and checkpoint interval, all 18
@@ -150,6 +151,24 @@ struct SweepUnit
 std::vector<SweepUnit>
 fuseSweepUnits(const std::vector<std::unique_ptr<SweepCell>>& cells,
                uint32_t threads);
+
+/**
+ * Drain @p units in process on a pool of @p threads workers (at most
+ * one per unit; one runs on the calling thread): workers claim units
+ * in queue order through one atomic cursor and run each through
+ * Execution::runShared. @p stop is polled between and inside units;
+ * an abandoned unit's runs simply stay pending. @p onRider is called
+ * on the worker that ran the unit, once per rider, with the rider's
+ * cell and outcome — exactly one call per cell across all units sees
+ * retiredLast, and may finalize that cell. The queue loop of
+ * Study::runSweep and of the distributed coordinator's degrade path.
+ */
+void runSweepUnits(
+    const std::vector<SweepUnit>& units, uint32_t threads,
+    const std::function<bool()>& stop,
+    const std::function<void(SweepCell&,
+                             const Campaign::Execution::CohortOutcome&)>&
+        onRider);
 
 /** On-demand, memoized campaign sweep. */
 class Study

@@ -10,6 +10,7 @@
 #include <deque>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -38,22 +39,50 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** One cell's runs inside a leased unit. */
+struct UnitRider
+{
+    core::SweepCell* cell = nullptr;
+    std::vector<uint32_t> indices;
+};
+
 /**
- * One leasable work unit: a cell plus the run indices of one planned
- * cohort. The coordinator never re-sorts them — the worker's
- * makeCohort() re-derives the cohort ordering deterministically.
+ * One leasable work unit: a fused sweep unit (core::fuseSweepUnits) —
+ * one program and checkpoint interval, one rider per cell — which the
+ * worker runs on a single lockstep golden cursor. Every rider shares
+ * the program, so a unit carries one golden key. The coordinator never
+ * re-sorts the indices — the worker's makeCohort() re-derives each
+ * rider's ordering deterministically. Lease, heartbeat, reclaim and
+ * strikes are per unit.
  */
 struct WorkUnit
 {
     int64_t id = 0;
-    core::SweepCell* cell = nullptr;
-    std::vector<uint32_t> indices;
+    std::vector<UnitRider> riders;
     /** Workers this unit's execution has killed (crash, lost
      *  connection or revoked lease). Two strikes quarantine it: a
-     *  multi-run unit splits into singletons, a singleton is recorded
-     *  as Outcome::Error. */
+     *  multi-run unit splits into singletons across all its riders, a
+     *  singleton is recorded as Outcome::Error. */
     uint32_t killCount = 0;
 };
+
+/** @p unit's riders cut down to their still-pending runs; riders with
+ *  none left drop out. */
+std::vector<UnitRider>
+pendingRiders(const WorkUnit& unit)
+{
+    std::vector<UnitRider> riders;
+    for (const UnitRider& rider : unit.riders) {
+        UnitRider left{rider.cell, {}};
+        for (uint32_t index : rider.indices) {
+            if (rider.cell->exec->pending(index))
+                left.indices.push_back(index);
+        }
+        if (!left.indices.empty())
+            riders.push_back(std::move(left));
+    }
+    return riders;
+}
 
 /**
  * One worker slot: a local subprocess on a pipe pair, a remote worker
@@ -184,19 +213,21 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
 
     // Pass 1+2 are shared with the in-process scheduler: merge
     // leftover shards, enumerate, replay journals, plan cohorts.
+    const uint32_t fleet = std::max<uint32_t>(
+        1, config.workerProcs + static_cast<uint32_t>(dial_hosts.size()));
     std::vector<std::string> cached_keys;
     std::vector<std::unique_ptr<core::SweepCell>> cells =
-        study.prepareSweepCells(
-            report, cached_keys,
-            std::max<uint32_t>(
-                1, config.workerProcs +
-                       static_cast<uint32_t>(dial_hosts.size())));
+        study.prepareSweepCells(report, cached_keys, fleet);
 
     Metrics& m = metrics();
     Counter& respawns_ctr = m.counter("dist.respawns");
     Counter& reclaimed_ctr = m.counter("dist.leases_reclaimed");
     Counter& quarantined_ctr = m.counter("dist.units_quarantined");
     Counter& poisoned_ctr = m.counter("dist.runs_poisoned");
+    Counter& units_leased_ctr = m.counter("dist.units_leased");
+    Counter& riders_leased_ctr = m.counter("dist.riders_leased");
+    const uint64_t units_leased_before = units_leased_ctr.value();
+    const uint64_t riders_leased_before = riders_leased_ctr.value();
     Gauge& workers_gauge = m.gauge("dist.workers");
     Gauge& queue_gauge = m.gauge("dist.queue_depth");
 
@@ -316,30 +347,29 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
             finalizeCell(*cell);
     }
 
-    // The work-unit queue, one unit per planned cohort, in cell order.
+    // The work-unit queue: the in-process sweep's fused units, largest
+    // first, one lease per program and checkpoint interval.
     std::deque<std::unique_ptr<WorkUnit>> units;
     std::deque<WorkUnit*> ready;
     int64_t next_unit_id = 0;
     uint32_t units_open = 0;   // not yet done: queued or leased
-    auto enqueue = [&](core::SweepCell* cell,
-                       std::vector<uint32_t> indices,
+    auto enqueue = [&](std::vector<UnitRider> riders,
                        uint32_t kill_count) {
         auto unit = std::make_unique<WorkUnit>();
         unit->id = next_unit_id++;
-        unit->cell = cell;
-        unit->indices = std::move(indices);
+        unit->riders = std::move(riders);
         unit->killCount = kill_count;
         ready.push_back(unit.get());
         units.push_back(std::move(unit));
         ++units_open;
     };
-    for (auto& cell : cells) {
-        for (const auto& cohort : cell->cohorts) {
-            if (cohort.indices.empty())
-                continue;
-            runs_total += cohort.indices.size();
-            enqueue(cell.get(), cohort.indices, 0);
-        }
+    for (core::SweepUnit& fused : core::fuseSweepUnits(cells, fleet)) {
+        std::vector<UnitRider> riders;
+        for (size_t i = 0; i < fused.cells.size(); ++i)
+            riders.push_back(
+                {fused.cells[i], std::move(fused.cohorts[i].indices)});
+        runs_total += fused.runs;
+        enqueue(std::move(riders), 0);
     }
 
     // Adoption: one streamed record enters the coordinator's
@@ -544,30 +574,32 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
         return attachRemote(slot, fd);
     };
 
+    // The widest unit leased, for the closing summary: riders and the
+    // distinct fault targets among them.
+    size_t widest_riders = 0;
+    size_t widest_components = 0;
     auto sendWork = [&](WorkerSlot& slot) {
         while (!ready.empty() && slot.unit == nullptr) {
             WorkUnit* unit = ready.front();
             ready.pop_front();
-            // Re-filter against the Execution: reclaimed units keep
+            // Re-filter against the Executions: reclaimed units keep
             // only the runs no other worker already finished.
-            std::vector<uint32_t> pending;
-            for (uint32_t index : unit->indices) {
-                if (unit->cell->exec->pending(index))
-                    pending.push_back(index);
-            }
-            if (pending.empty()) {
+            unit->riders = pendingRiders(*unit);
+            if (unit->riders.empty()) {
                 --units_open;
                 continue;
             }
-            unit->indices = std::move(pending);
             WorkFrame frame;
             frame.unit = unit->id;
-            frame.workload = unit->cell->workload->name;
-            frame.component =
-                core::componentShortName(unit->cell->component);
-            frame.faults = unit->cell->faults;
-            frame.goldenKey = goldenFor(*unit->cell).first;
-            frame.indices = unit->indices;
+            frame.workload = unit->riders.front().cell->workload->name;
+            frame.goldenKey = goldenFor(*unit->riders.front().cell).first;
+            std::set<core::Component> components;
+            for (const UnitRider& rider : unit->riders) {
+                frame.riders.push_back(
+                    {core::componentShortName(rider.cell->component),
+                     rider.cell->faults, rider.indices});
+                components.insert(rider.cell->component);
+            }
             if (!writeFrame(slot.toFd, buildWorkFrame(frame))) {
                 // Dead transport: the reaper (local) or the EOF sweep
                 // (remote) will reclaim; requeue the unit so someone
@@ -577,13 +609,19 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
             }
             slot.unit = unit;
             slot.lastFrame = Clock::now();
+            units_leased_ctr.add(1);
+            riders_leased_ctr.add(unit->riders.size());
+            if (unit->riders.size() > widest_riders) {
+                widest_riders = unit->riders.size();
+                widest_components = components.size();
+            }
         }
         queue_gauge.set(static_cast<int64_t>(ready.size()));
     };
 
     // Reclaim a dead or revoked worker's lease: only the unit's
-    // still-pending runs go back on the queue, and two strikes
-    // trigger the quarantine ladder.
+    // still-pending runs go back on the queue, its riders still fused,
+    // and two strikes trigger the quarantine ladder.
     auto reclaim = [&](WorkerSlot& slot, bool killed) {
         WorkUnit* unit = slot.unit;
         slot.unit = nullptr;
@@ -592,41 +630,50 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
         --units_open;
         if (killed)
             ++unit->killCount;
-        std::vector<uint32_t> pending;
-        for (uint32_t index : unit->indices) {
-            if (unit->cell->exec->pending(index))
-                pending.push_back(index);
-        }
+        std::vector<UnitRider> pending = pendingRiders(*unit);
         if (pending.empty())
             return;
+        size_t leased = 0, runs = 0;
+        for (const UnitRider& rider : unit->riders)
+            leased += rider.indices.size();
+        for (const UnitRider& rider : pending)
+            runs += rider.indices.size();
         if (unit->killCount < 2) {
-            enqueue(unit->cell, std::move(pending), unit->killCount);
+            inform("dist: unit %lld requeued with %zu of its %zu leased "
+                   "runs pending, over %zu cells",
+                   static_cast<long long>(unit->id), runs, leased,
+                   pending.size());
+            enqueue(std::move(pending), unit->killCount);
             return;
         }
-        if (pending.size() > 1) {
+        if (runs > 1) {
             // A unit that killed two workers: some run in it is
-            // poison, so isolate them — each singleton gets its own
-            // two strikes before being condemned.
+            // poison, so isolate every run of every rider — each
+            // singleton gets its own two strikes before being
+            // condemned.
             quarantined_ctr.add(1);
-            warn("dist: unit %lld of %s killed %u workers; splitting "
-                 "%zu runs into singletons",
+            warn("dist: unit %lld of %s (%zu cells) killed %u workers; "
+                 "splitting %zu runs into singletons",
                  static_cast<long long>(unit->id),
-                 unit->cell->key.c_str(), unit->killCount,
-                 pending.size());
-            for (uint32_t index : pending)
-                enqueue(unit->cell, {index}, 0);
+                 pending.front().cell->workload->name.c_str(),
+                 pending.size(), unit->killCount, runs);
+            for (const UnitRider& rider : pending) {
+                for (uint32_t index : rider.indices)
+                    enqueue({{rider.cell, {index}}}, 0);
+            }
             return;
         }
         // A singleton that still kills workers is charged to the run:
         // Outcome::Error, the host-side bucket AVF already excludes.
+        core::SweepCell& cell = *pending.front().cell;
         poisoned_ctr.add(1);
         warn("dist: run %u of %s persistently kills workers; "
              "recording Outcome::Error",
-             pending.front(), unit->cell->key.c_str());
+             pending.front().indices.front(), cell.key.c_str());
         core::RunRecord record;
-        record.index = pending.front();
+        record.index = pending.front().indices.front();
         record.outcome = core::Outcome::Error;
-        adopt(*unit->cell, std::move(record), false);
+        adopt(cell, std::move(record), false);
     };
 
     auto releaseSlot = [&](WorkerSlot& slot) {
@@ -655,22 +702,19 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
             slot.spawnFailures = 0;
             sendWork(slot);
         } else if (tag == "rec") {
-            long long unit_id = -1;
-            unsigned long long wall_us = 0;
-            in >> unit_id >> wall_us;
-            std::string rest;
-            std::getline(in, rest);
-            if (!rest.empty() && rest.front() == ' ')
-                rest.erase(0, 1);
-            core::RunRecord record;
-            if (!in || !core::parseRunRecord(rest, record)) {
+            // A record outside any lease belongs to a unit already
+            // reclaimed; its runs are requeued, so it is dropped.
+            if (slot.unit == nullptr)
+                return;
+            RecFrame rec;
+            if (!parseRecFrame(payload, slot.unit->riders.size(), rec)) {
                 warn("dist: worker %u sent a malformed record",
                      slot.slot);
                 return;
             }
-            record.wallMicros = wall_us;
-            if (slot.unit != nullptr && slot.unit->id == unit_id)
-                adopt(*slot.unit->cell, std::move(record),
+            if (rec.unit == slot.unit->id)
+                adopt(*slot.unit->riders[rec.rider].cell,
+                      std::move(rec.record),
                       slot.kind != WorkerSlot::Kind::Local);
         } else if (tag == "unit-done") {
             long long unit_id = -1;
@@ -853,9 +897,10 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
         envUInt("MBUSIM_HEARTBEAT_S", 30, UINT32_MAX));
     const Clock::time_point deadline =
         started + std::chrono::seconds(deadline_s);
-    bool cancel = false;
+    // Atomic: the degrade path polls it from its drain pool.
+    std::atomic<bool> cancel{false};
     auto shouldStop = [&]() {
-        if (cancel)
+        if (cancel.load(std::memory_order_relaxed))
             return true;
         const char* why = nullptr;
         if (interruptRequested())
@@ -864,7 +909,8 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
             why = "deadline expired";
         if (why == nullptr)
             return false;
-        cancel = true;
+        if (cancel.exchange(true))
+            return true;
         warn("dist sweep %s: draining workers (%llu/%llu runs done%s)",
              why, static_cast<unsigned long long>(runs_done),
              static_cast<unsigned long long>(runs_total),
@@ -1147,8 +1193,9 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
 
     // --- Graceful degradation: every transport is gone — the respawn
     // budget is exhausted, no host answers — but runs remain. Finish
-    // them in this process with the same cohort machinery rather than
-    // abandoning the sweep.
+    // them in this process on the in-process sweep's own queue: the
+    // still-pending runs re-planned, fused into shared-cursor units and
+    // drained by runSweepUnits, rather than abandoning the sweep.
     if (degraded && !shouldStop()) {
         warn("dist: no workers left (respawn budget %u used) with "
              "%llu/%llu runs done; draining the remainder in-process",
@@ -1156,52 +1203,36 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
              static_cast<unsigned long long>(runs_done),
              static_cast<unsigned long long>(runs_total));
         const uint32_t threads = study.resolvedThreads();
-        std::vector<
-            std::pair<core::SweepCell*,
-                      core::Campaign::Execution::Cohort>>
-            tasks;
+        // Re-plan only what is still pending; quarantined Error runs
+        // are done and stay out.
+        size_t per_cell_cohorts = 0;
         for (auto& cell : cells) {
-            if (cell->exec->completedRuns() == sc.injections)
-                continue;
-            // Re-plan only what is still pending; quarantined Error
-            // runs are done_ and stay out.
-            for (auto& cohort : cell->exec->planCohorts(threads))
-                tasks.emplace_back(cell.get(), std::move(cohort));
+            cell->cohorts.clear();
+            if (cell->exec->completedRuns() != sc.injections)
+                cell->cohorts = cell->exec->planCohorts(threads);
+            per_cell_cohorts += cell->cohorts.size();
         }
-        std::atomic<size_t> next{0};
+        Counter& cohorts_ctr = m.counter("campaign.cohorts");
+        const uint64_t cohorts_before = cohorts_ctr.value();
         std::atomic<uint64_t> drained{0};
-        auto stop = [&]() { return shouldStop(); };
-        auto worker = [&]() {
-            for (;;) {
-                if (stop())
-                    return;
-                size_t t = next.fetch_add(1);
-                if (t >= tasks.size())
-                    return;
-                auto out = tasks[t].first->exec->runCohort(
-                    tasks[t].second, stop);
+        std::mutex finalize_mutex;   // finalizeCell is single-threaded
+        core::runSweepUnits(
+            core::fuseSweepUnits(cells, threads), threads, shouldStop,
+            [&](core::SweepCell& cell,
+                const core::Campaign::Execution::CohortOutcome& out) {
                 drained.fetch_add(out.executed);
-            }
-        };
-        const uint32_t pool_size = std::max<uint32_t>(
-            1,
-            std::min<uint32_t>(threads,
-                               static_cast<uint32_t>(tasks.size())));
-        if (pool_size == 1) {
-            worker();
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(pool_size);
-            for (uint32_t t = 0; t < pool_size; ++t)
-                pool.emplace_back(worker);
-            for (auto& t : pool)
-                t.join();
-        }
+                if (out.retiredLast) {
+                    std::lock_guard<std::mutex> lock(finalize_mutex);
+                    finalizeCell(cell);
+                }
+            });
         runs_done += drained.load();
-        for (auto& cell : cells) {
-            if (cell->exec->completedRuns() == sc.injections)
-                finalizeCell(*cell);
-        }
+        inform("dist: drained %llu runs in-process on %llu shared "
+               "cursors in place of %zu per-cell cohorts",
+               static_cast<unsigned long long>(drained.load()),
+               static_cast<unsigned long long>(cohorts_ctr.value() -
+                                               cohorts_before),
+               per_cell_cohorts);
     }
 
     // Anything a killed worker journalled for a still-incomplete cell
@@ -1214,7 +1245,14 @@ runDistributedSweep(core::Study& study, const DistConfig& config,
     if (!sc.journalDir.empty())
         mergeShardJournals(sc.journalDir);
 
-    report.cancelled = cancel;
+    inform("dist: leased %llu units carrying %llu riders (widest: %zu "
+           "riders over %zu components)",
+           static_cast<unsigned long long>(units_leased_ctr.value() -
+                                           units_leased_before),
+           static_cast<unsigned long long>(riders_leased_ctr.value() -
+                                           riders_leased_before),
+           widest_riders, widest_components);
+    report.cancelled = cancel.load();
     report.runsSimulated = runs_done;
     report.goldenSimulations =
         core::goldenSimulationCount() - golden_before;

@@ -2,9 +2,11 @@
  * @file
  * Multi-process and cross-host sweep coordinator (DESIGN.md §14, §17).
  *
- * runDistributedSweep() drives the same (cell, cohort) work units as
- * Study::runSweep, but hands them to `mbusim worker` processes over
- * length-prefixed frames instead of threads, so a crash — a host-side
+ * runDistributedSweep() drives the same fused work units as
+ * Study::runSweep (core::fuseSweepUnits: one program and checkpoint
+ * interval per unit, one rider per cell, one lockstep golden cursor),
+ * but hands them to `mbusim worker` processes over length-prefixed
+ * frames instead of threads, so a crash — a host-side
  * simulator bug, an OOM kill, a stray SIGKILL, a dropped network
  * connection — costs one worker and its in-flight unit, never the
  * sweep. Workers are local subprocesses on pipes (--worker-procs),
@@ -17,14 +19,16 @@
  * and its unit's still-pending runs requeued), respawns dead workers
  * and re-dials lost connections under a capped-exponential-backoff
  * budget, and quarantines poison units: a unit that kills workers
- * twice is split into singletons, and a singleton that still kills
+ * twice is split into singletons across all its riders, and a
+ * singleton that still kills
  * workers is recorded as Outcome::Error — excluded from the AVF
  * denominator like every host-side failure.
  *
  * Degradation order is explicit: a lost connection expires its lease,
  * the unit requeues on surviving workers, and only when every
  * transport is gone and the budget exhausted are the remaining runs
- * drained in-process, so a sweep degrades gracefully rather than
+ * drained in-process, on the in-process sweep's own fused queue
+ * (core::runSweepUnits), so a sweep degrades gracefully rather than
  * deadlocking.
  *
  * Results are bit-identical to the in-process scheduler: records are

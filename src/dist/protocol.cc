@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 #include <poll.h>
@@ -115,6 +116,16 @@ plainToken(const std::string& token)
             return false;
     }
     return true;
+}
+
+bool
+knownComponent(const std::string& name)
+{
+    for (core::Component c : core::AllComponents) {
+        if (name == core::componentShortName(c))
+            return true;
+    }
+    return false;
 }
 
 const char B64Alphabet[] =
@@ -299,13 +310,16 @@ std::string
 buildWorkFrame(const WorkFrame& frame)
 {
     std::string out = strprintf(
-        "work %lld %s %s %u %s %zu",
-        static_cast<long long>(frame.unit), frame.workload.c_str(),
-        frame.component.c_str(), frame.faults,
+        "work %lld %s %s %zu", static_cast<long long>(frame.unit),
+        frame.workload.c_str(),
         frame.goldenKey.empty() ? "-" : frame.goldenKey.c_str(),
-        frame.indices.size());
-    for (uint32_t index : frame.indices)
-        out += strprintf(" %u", index);
+        frame.riders.size());
+    for (const WorkRider& rider : frame.riders) {
+        out += strprintf(" %s %u %zu", rider.component.c_str(),
+                         rider.faults, rider.indices.size());
+        for (uint32_t index : rider.indices)
+            out += strprintf(" %u", index);
+    }
     return out;
 }
 
@@ -314,22 +328,61 @@ parseWorkFrame(const std::string& payload, WorkFrame& out)
 {
     TokenReader t(payload);
     std::string tag;
-    uint64_t unit = 0, count = 0;
+    uint64_t unit = 0, riders = 0;
     if (!t.word(tag) || tag != "work" ||
         !t.u64(INT64_MAX, unit) ||
         !t.word(out.workload) || !plainToken(out.workload) ||
-        !t.word(out.component) || !plainToken(out.component) ||
-        !t.u32(UINT32_MAX, out.faults) ||
         !t.word(out.goldenKey) || !plainToken(out.goldenKey) ||
-        !t.u64(MaxFrameBytes, count))
+        !t.u64(MaxFrameBytes, riders) || riders == 0)
         return false;
     out.unit = static_cast<int64_t>(unit);
-    out.indices.resize(count);
-    for (uint32_t& index : out.indices) {
-        if (!t.u32(UINT32_MAX, index))
+    out.riders.clear();
+    // Counts only bound loops, never allocations: a hostile count runs
+    // out of tokens and is rejected before it can cost memory.
+    std::set<std::pair<std::string, uint32_t>> cells;
+    for (uint64_t r = 0; r < riders; ++r) {
+        WorkRider rider;
+        uint64_t count = 0;
+        if (!t.word(rider.component) || !knownComponent(rider.component) ||
+            !t.u32(UINT32_MAX, rider.faults) ||
+            !t.u64(MaxFrameBytes, count) ||
+            !cells.emplace(rider.component, rider.faults).second)
             return false;
+        for (uint64_t i = 0; i < count; ++i) {
+            uint32_t index = 0;
+            if (!t.u32(UINT32_MAX, index))
+                return false;
+            rider.indices.push_back(index);
+        }
+        out.riders.push_back(std::move(rider));
     }
     return t.atEnd();
+}
+
+std::string
+buildRecFrame(const RecFrame& frame)
+{
+    return strprintf("rec %lld %u %llu %s",
+                     static_cast<long long>(frame.unit), frame.rider,
+                     static_cast<unsigned long long>(frame.wallMicros),
+                     core::serializeRunRecord(frame.record).c_str());
+}
+
+bool
+parseRecFrame(const std::string& payload, size_t riders, RecFrame& out)
+{
+    TokenReader t(payload);
+    std::string tag, rest;
+    uint64_t unit = 0;
+    if (!t.word(tag) || tag != "rec" || !t.u64(INT64_MAX, unit) ||
+        !t.u32(UINT32_MAX, out.rider) || out.rider >= riders ||
+        !t.u64(UINT64_MAX, out.wallMicros) ||
+        !std::getline(t.in, rest) || rest.empty() || rest.front() != ' ' ||
+        !core::parseRunRecord(rest.substr(1), out.record))
+        return false;
+    out.unit = static_cast<int64_t>(unit);
+    out.record.wallMicros = out.wallMicros;
+    return true;
 }
 
 const std::vector<std::string>&

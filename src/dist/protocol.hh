@@ -15,7 +15,9 @@
  *
  * Messages (coordinator -> worker):
  *   cfg <k=v ...>                        (campaign parameters, remote)
- *   work <unit> <workload> <component> <faults> <gkey> <n> <i0> ...
+ *   work <unit> <workload> <gkey> <r> {<component> <faults> <n> <i0> ...}xr
+ *                                        (one fused sweep unit: r riders,
+ *                                        one per cell, one golden cursor)
  *   art <key> <total> <offset> <b64|->   (golden blob chunk)
  *   art-miss <key>                       (no blob for that key)
  *   shutdown
@@ -24,7 +26,9 @@
  *   hello <pid>
  *   need <key>                           (request the golden blob)
  *   bad-golden <unit> <have> <want>      (golden key mismatch)
- *   rec <unit> <wall_us> run <index> ... (serializeRunRecord payload)
+ *   rec <unit> <rider> <wall_us> run <index> ...
+ *                                        (serializeRunRecord payload of
+ *                                        the unit's rider'th cell)
  *   unit-done <unit>
  *   log <W|I> <text>
  *   hb
@@ -44,12 +48,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/campaign.hh"
+
 namespace mbusim::dist {
 
 /**
  * Hard ceiling on one frame's payload. The largest legitimate frame
- * is a work unit listing a few thousand run indices or one golden
- * blob chunk; anything bigger means a corrupted length prefix, and
+ * is a work unit listing a few thousand run indices across its riders
+ * or one golden blob chunk; anything bigger means a corrupted length prefix, and
  * reading it would ask the coordinator to allocate garbage gigabytes.
  */
 constexpr uint32_t MaxFrameBytes = 1u << 20;
@@ -114,27 +120,61 @@ class FrameBuffer
 std::string b64Encode(const std::string& data);
 bool b64Decode(const std::string& text, std::string& out);
 
-/** One work unit as framed on the wire. */
+/** One cell's runs inside a work unit. */
+struct WorkRider
+{
+    std::string component;
+    uint32_t faults = 0;
+    std::vector<uint32_t> indices;
+};
+
+/**
+ * One work unit as framed on the wire: a fused sweep unit
+ * (core::fuseSweepUnits) — one program, one checkpoint interval, one
+ * rider per cell — that the worker runs on a single lockstep golden
+ * cursor.
+ */
 struct WorkFrame
 {
     int64_t unit = -1;
     std::string workload;
-    std::string component;
-    uint32_t faults = 0;
     /** Golden-wire key the worker must verify ("-" = unchecked). */
     std::string goldenKey;
-    std::vector<uint32_t> indices;
+    std::vector<WorkRider> riders;
 };
 
 std::string buildWorkFrame(const WorkFrame& frame);
 
 /**
  * Parse a `work` frame strictly: every field numeric where expected,
- * the index count matching the index list exactly, no trailing
+ * at least one rider, the rider count and every index count matching
+ * the payload exactly, every component a known short name, no two
+ * riders naming the same (component, faults) cell, no trailing
  * garbage. Returns false without running anything on any deviation —
  * a malformed unit descriptor must never become an injection.
  */
 bool parseWorkFrame(const std::string& payload, WorkFrame& out);
+
+/** One streamed run record, tagged with the rider (cell) it belongs
+ *  to within the leased unit. */
+struct RecFrame
+{
+    int64_t unit = -1;
+    uint32_t rider = 0;
+    uint64_t wallMicros = 0;
+    core::RunRecord record;
+};
+
+std::string buildRecFrame(const RecFrame& frame);
+
+/**
+ * Parse a `rec` frame strictly against a leased unit of @p riders
+ * riders: the rider index must be in range and the run record must
+ * parse (core::parseRunRecord). The coordinator drops a rejected
+ * frame with a warning.
+ */
+bool parseRecFrame(const std::string& payload, size_t riders,
+                   RecFrame& out);
 
 /**
  * Campaign parameters for a remote worker, sent first on every

@@ -154,6 +154,9 @@ struct CellState
 {
     std::unique_ptr<core::Campaign> campaign;
     std::unique_ptr<core::Campaign::Execution> exec;
+    /** This cell's rider index in the unit being run; tags its
+     *  streamed records. */
+    uint32_t rider = 0;
 };
 
 const workloads::Workload*
@@ -164,16 +167,6 @@ findWorkload(const std::string& name)
             return &w;
     }
     return nullptr;
-}
-
-bool
-knownComponent(const std::string& name)
-{
-    for (core::Component c : core::AllComponents) {
-        if (name == core::componentShortName(c))
-            return true;
-    }
-    return false;
 }
 
 /**
@@ -226,8 +219,8 @@ serveSession(int inFd, int outFd, const WorkerArgs& base, bool remote,
 
     send(strprintf("hello %d", static_cast<int>(::getpid())));
 
-    // Worker-side heartbeat: runCohort can legitimately stay silent
-    // for the length of one long run, so a dedicated thread keeps the
+    // Worker-side heartbeat: a unit can legitimately stay silent for
+    // the length of one long run, so a dedicated thread keeps the
     // coordinator's lease fresh while the process is healthy. A hung
     // or SIGKILLed worker stops heartbeating and loses its lease.
     // Remote sessions learn the interval from the cfg frame and start
@@ -270,7 +263,7 @@ serveSession(int inFd, int outFd, const WorkerArgs& base, bool remote,
     std::map<std::string, std::string> verified;
     int64_t current_unit = -1;
 
-    // Abandon the cohort as soon as the coordinator is gone: every
+    // Abandon the unit as soon as the coordinator is gone: every
     // completed run is already durable (the shard journal locally, the
     // coordinator's record stream remotely), and a resuming
     // coordinator replans the remainder, so simulating for a dead peer
@@ -437,9 +430,8 @@ serveSession(int inFd, int outFd, const WorkerArgs& base, bool remote,
         }
         const workloads::Workload* workload =
             findWorkload(frame.workload);
-        if (workload == nullptr || !knownComponent(frame.component)) {
-            warn("worker: work frame names unknown %s, ignoring",
-                 workload == nullptr ? "workload" : "component");
+        if (workload == nullptr) {
+            warn("worker: work frame names unknown workload, ignoring");
             continue;
         }
         if (frame.goldenKey != "-") {
@@ -451,49 +443,64 @@ serveSession(int inFd, int outFd, const WorkerArgs& base, bool remote,
                 continue;   // refused; coordinator requeues elsewhere
         }
 
-        const std::string cell_key = frame.workload + ":" +
-                                     frame.component + ":f" +
-                                     std::to_string(frame.faults);
-        CellState& cell = cells[cell_key];
-        if (!cell.campaign) {
-            core::CampaignConfig cc;
-            cc.component =
-                core::componentFromShortName(frame.component.c_str());
-            cc.faults = frame.faults;
-            cc.injections = cfg.injections;
-            cc.seed = cfg.seed;
-            cc.cluster = cfg.cluster;
-            cc.timeoutFactor = cfg.timeoutFactor;
-            cc.threads = 1;
-            cc.cpu.inOrderIssue = cfg.inOrder;
-            cc.journalDir = cfg.journalDir;
-            cc.journalShard = cfg.shard;
-            if (crash_at != UINT32_MAX &&
-                (crash_cell.empty() ||
-                 cell_key.find(crash_cell) != std::string::npos)) {
-                const uint32_t at = crash_at;
-                cc.hostFaultHook = [at](uint32_t index, uint32_t) {
-                    if (index == at)
-                        ::kill(::getpid(), SIGKILL);
-                };
-            }
-            cell.campaign = std::make_unique<core::Campaign>(
-                *workload, cc, store);
-            cell.exec = cell.campaign->prepare();
-            cell.exec->setRunObserver(
-                [&send, &current_unit](const core::RunRecord& r) {
-                    send(strprintf(
-                        "rec %lld %llu %s",
-                        static_cast<long long>(current_unit),
-                        static_cast<unsigned long long>(r.wallMicros),
-                        core::serializeRunRecord(r).c_str()));
-                });
-        }
-
+        // One cell per rider, built on first use and kept for the
+        // session, so a program's cells replay their journals once.
+        // Every rider of the unit then rides one lockstep cursor.
         current_unit = frame.unit;
-        core::Campaign::Execution::Cohort cohort =
-            cell.exec->makeCohort(frame.indices, frame.unit);
-        cell.exec->runCohort(cohort, stop);
+        std::vector<core::Campaign::Execution::Cohort> cohorts(
+            frame.riders.size());
+        std::vector<core::Campaign::Execution::Rider> riders;
+        for (uint32_t r = 0; r < frame.riders.size(); ++r) {
+            const WorkRider& wr = frame.riders[r];
+            const std::string cell_key = frame.workload + ":" +
+                                         wr.component + ":f" +
+                                         std::to_string(wr.faults);
+            CellState& cell = cells[cell_key];
+            if (!cell.campaign) {
+                core::CampaignConfig cc;
+                cc.component =
+                    core::componentFromShortName(wr.component.c_str());
+                cc.faults = wr.faults;
+                cc.injections = cfg.injections;
+                cc.seed = cfg.seed;
+                cc.cluster = cfg.cluster;
+                cc.timeoutFactor = cfg.timeoutFactor;
+                cc.threads = 1;
+                cc.cpu.inOrderIssue = cfg.inOrder;
+                cc.journalDir = cfg.journalDir;
+                cc.journalShard = cfg.shard;
+                if (crash_at != UINT32_MAX &&
+                    (crash_cell.empty() ||
+                     cell_key.find(crash_cell) != std::string::npos)) {
+                    const uint32_t at = crash_at;
+                    cc.hostFaultHook = [at](uint32_t index, uint32_t) {
+                        if (index == at)
+                            ::kill(::getpid(), SIGKILL);
+                    };
+                }
+                cell.campaign = std::make_unique<core::Campaign>(
+                    *workload, cc, store);
+                cell.exec = cell.campaign->prepare();
+                cell.exec->setRunObserver(
+                    [&send, &current_unit,
+                     &cell](const core::RunRecord& r) {
+                        RecFrame rec;
+                        rec.unit = current_unit;
+                        rec.rider = cell.rider;
+                        rec.wallMicros = r.wallMicros;
+                        rec.record = r;
+                        send(buildRecFrame(rec));
+                    });
+            }
+            cell.rider = r;
+            cohorts[r] = cell.exec->makeCohort(wr.indices, frame.unit);
+            // A rider whose runs this process already finished has
+            // nothing left to attach (and no checkpoint to agree on).
+            if (!cohorts[r].indices.empty())
+                riders.push_back({cell.exec.get(), &cohorts[r]});
+        }
+        if (!riders.empty())
+            core::Campaign::Execution::runShared(riders, stop);
         if (interruptRequested()) {
             exit_code = 130;
             break;

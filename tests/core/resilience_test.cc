@@ -154,12 +154,12 @@ TEST(ResilienceTest, InterruptedCampaignResumesBitIdentical)
 
 TEST(ResilienceTest, MidCohortInterruptResumesBitIdentical)
 {
-    // Interrupt in the middle of a cohort (the attempt counter fires
-    // mid-campaign regardless of which cohort serves which index): the
-    // cohort's retired runs are journalled, its abandoned tail stays
-    // pending, and the resumed campaign — whose replayed runs drop out
-    // of their re-planned cohorts — must end bit-identical to a
-    // straight baseline.
+    // Interrupt late in the campaign, in the middle of a cohort (the
+    // attempt counter fires regardless of which cohort serves which
+    // index): most runs are already journalled, the abandoned tail
+    // stays pending, and the resumed campaign — which replays the
+    // bulk and re-plans only the few pending runs into cohorts — must
+    // end bit-identical to a straight baseline.
     const auto& w = workloads::workloadByName("stringsearch");
     CampaignConfig config = smallConfig(Component::L1D, 2, 30);
     config.cohortBatching = false;
@@ -170,8 +170,8 @@ TEST(ResilienceTest, MidCohortInterruptResumesBitIdentical)
     config.journalDir = dir;
     auto attempts = std::make_shared<std::atomic<uint32_t>>(0);
     config.hostFaultHook = [attempts](uint32_t, uint32_t) {
-        if (attempts->fetch_add(1) + 1 == 11)
-            requestInterrupt();   // as if ^C arrived mid-cohort
+        if (attempts->fetch_add(1) + 1 == 23)
+            requestInterrupt();   // as if ^C arrived near the end
     };
     CampaignResult partial = Campaign(w, config).run();
     clearInterrupt();
@@ -205,12 +205,13 @@ TEST(ResilienceTest, MidLockstepInterruptResumesBitIdentical)
 {
     // Interrupt while a lockstep cohort is riding the shared cursor
     // (the attach-time hook fires mid-cohort, and the interrupt is
-    // noticed at the cursor's next stop poll): attached-but-unfinished
-    // overlays are abandoned without a journal entry, and the resumed
-    // campaign — still on the lockstep path — must end bit-identical
-    // to a straight baseline. This pins the journal discipline of the
-    // overlay shortcuts: a run is recorded only when it retires or its
-    // fork finishes, never when it merely attaches.
+    // noticed at the cursor's next stop poll): the cohort's retired
+    // runs are journalled, attached-but-unfinished overlays are
+    // abandoned without a journal entry, and the resumed campaign —
+    // whose replayed runs drop out of their re-planned cohorts — must
+    // end bit-identical to a straight baseline. This pins the journal
+    // discipline of the overlay shortcuts: a run is recorded only when
+    // it retires or its fork finishes, never when it merely attaches.
     const auto& w = workloads::workloadByName("stringsearch");
     CampaignConfig config = smallConfig(Component::L1D, 2, 30);
     config.cohortBatching = false;
@@ -218,7 +219,6 @@ TEST(ResilienceTest, MidLockstepInterruptResumesBitIdentical)
 
     std::string dir = freshDir("mbusim_journal_midlockstep");
     config.cohortBatching = true;
-    config.lockstep = true;
     config.journalDir = dir;
     auto attempts = std::make_shared<std::atomic<uint32_t>>(0);
     config.hostFaultHook = [attempts](uint32_t, uint32_t) {

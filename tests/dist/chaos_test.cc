@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <string>
 #include <sys/wait.h>
@@ -191,13 +192,23 @@ waitForShardBytes(const std::string& journalDir, size_t minBytes,
 const EnvList TinySweep = {{"MBUSIM_WORKLOADS", "stringsearch"},
                            {"MBUSIM_INJECTIONS", "4"}};
 
-/** Serial reference trace for the TinySweep configuration. */
+/**
+ * A sweep long enough (about half a second on 4 cores) for a signal
+ * sent once the first shard records land to arrive mid-sweep: fused
+ * units finish TinySweep in a few tens of milliseconds.
+ */
+const EnvList MidSweep = {{"MBUSIM_WORKLOADS", "susan_s"},
+                          {"MBUSIM_INJECTIONS", "100"}};
+
+/** Serial reference trace for the @p envs configuration (TinySweep by
+ *  default). */
 std::multiset<std::string>
-serialReference(const std::string& scratch)
+serialReference(const std::string& scratch,
+                const EnvList& envs = TinySweep)
 {
     std::string trace = scratch + "/serial.jsonl";
     SweepResult serial = runSweep(
-        scratch, {"--serial", "--trace-out", trace}, TinySweep);
+        scratch, {"--serial", "--trace-out", trace}, envs);
     EXPECT_EQ(serial.exitCode, 0) << serial.err;
     std::multiset<std::string> runs = canonicalRuns(trace);
     EXPECT_FALSE(runs.empty());
@@ -323,6 +334,115 @@ TEST_F(ChaosTest, StickyCrashQuarantinesPoisonRun)
     EXPECT_EQ(rest.size() + 1, serial.size());
 }
 
+// ---------------------------------------------------------------------
+// Fused units (DESIGN.md §14, §15): the coordinator leases the
+// in-process sweep's units — one program and checkpoint interval, one
+// rider per cell — so every worker rides one lockstep cursor for all
+// of a program's cells.
+
+const EnvList TwoPrograms = {{"MBUSIM_WORKLOADS", "stringsearch,susan_s"},
+                             {"MBUSIM_INJECTIONS", "12"}};
+
+/** Every match of @p pattern in @p text, as its numeric groups. */
+std::vector<std::vector<unsigned long long>>
+numbersOf(const std::string& text, const std::string& pattern)
+{
+    std::vector<std::vector<unsigned long long>> all;
+    const std::regex re(pattern);
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), re);
+         it != std::sregex_iterator(); ++it) {
+        std::vector<unsigned long long> groups;
+        for (size_t g = 1; g < it->size(); ++g)
+            groups.push_back(std::stoull((*it)[g].str()));
+        all.push_back(std::move(groups));
+    }
+    return all;
+}
+
+const char* LeaseSummary =
+    R"(dist: leased (\d+) units carrying (\d+) riders \(widest: (\d+) )"
+    R"(riders over (\d+) components\))";
+
+/**
+ * A fleet of two worker processes over two programs: the trace must
+ * equal --serial (per-cell cursors) and MBUSIM_COHORT=0 (the straight
+ * reference) field for field. Vacuity guard: the coordinator leased
+ * units carrying several riders, one spanning several fault targets,
+ * so the test cannot pass on per-cell units.
+ */
+TEST_F(ChaosTest, FusedUnitsMatchSerialAndStraight)
+{
+    std::string scratch = freshDir("fused_units");
+    std::string serialTrace = scratch + "/serial.jsonl";
+    SweepResult serialRun = runSweep(
+        scratch, {"--serial", "--trace-out", serialTrace}, TwoPrograms);
+    ASSERT_EQ(serialRun.exitCode, 0) << serialRun.err;
+    std::multiset<std::string> serial = canonicalRuns(serialTrace);
+    ASSERT_EQ(serial.size(), 2u * 18u * 12u);
+
+    EnvList straightEnvs = TwoPrograms;
+    straightEnvs.emplace_back("MBUSIM_COHORT", "0");
+    std::string straightTrace = scratch + "/straight.jsonl";
+    SweepResult straightRun = runSweep(
+        scratch, {"--trace-out", straightTrace}, straightEnvs);
+    ASSERT_EQ(straightRun.exitCode, 0) << straightRun.err;
+    EXPECT_EQ(canonicalRuns(straightTrace), serial);
+
+    std::string trace = scratch + "/dist.jsonl";
+    SweepResult dist = runSweep(scratch,
+                                {"--worker-procs", "2", "--journal-dir",
+                                 scratch + "/j", "--trace-out", trace},
+                                TwoPrograms);
+    ASSERT_EQ(dist.exitCode, 0) << dist.err;
+    EXPECT_EQ(canonicalRuns(trace), serial);
+
+    auto leases = numbersOf(dist.err, LeaseSummary);
+    ASSERT_EQ(leases.size(), 1u) << dist.err;
+    const auto& lease = leases.front();
+    EXPECT_GT(lease[1], lease[0]) << "every unit carried one rider";
+    EXPECT_GE(lease[2], 2u) << dist.err;
+    EXPECT_GE(lease[3], 2u) << "no unit spanned two fault targets";
+}
+
+/**
+ * A worker SIGKILLed in the middle of a fused unit (the crash hook
+ * narrowed to one cell): the coordinator requeues the unit with only
+ * its still-pending runs, its riders still fused, and the final trace
+ * equals serial.
+ */
+TEST_F(ChaosTest, CrashInsideFusedUnitRequeuesPendingRuns)
+{
+    std::string scratch = freshDir("fused_crash");
+    std::string serialTrace = scratch + "/serial.jsonl";
+    SweepResult serialRun = runSweep(
+        scratch, {"--serial", "--trace-out", serialTrace}, TwoPrograms);
+    ASSERT_EQ(serialRun.exitCode, 0) << serialRun.err;
+    std::multiset<std::string> serial = canonicalRuns(serialTrace);
+    ASSERT_FALSE(serial.empty());
+
+    EnvList envs = TwoPrograms;
+    envs.emplace_back("MBUSIM_TEST_CRASH_AT", "9");
+    envs.emplace_back("MBUSIM_TEST_CRASH_CELL", "susan_s:dtlb:f3");
+    std::string trace = scratch + "/dist.jsonl";
+    SweepResult dist = runSweep(scratch,
+                                {"--worker-procs", "2", "--journal-dir",
+                                 scratch + "/j", "--trace-out", trace},
+                                envs);
+    ASSERT_EQ(dist.exitCode, 0) << dist.err;
+    EXPECT_EQ(canonicalRuns(trace), serial);
+
+    // Some reclaimed unit had finished part of its runs before the
+    // crash and went back with only the rest, over several cells.
+    bool partial_fused = false;
+    for (const auto& requeue : numbersOf(
+             dist.err, R"(dist: unit \d+ requeued with (\d+) of its )"
+                       R"((\d+) leased runs pending, over (\d+) cells)")) {
+        partial_fused = partial_fused ||
+                        (requeue[0] < requeue[1] && requeue[2] >= 2);
+    }
+    EXPECT_TRUE(partial_fused) << dist.err;
+}
+
 /**
  * SIGTERM to the coordinator drains like ^C — exit 130, journals
  * flushed and shards merged — and a rerun over the same journal
@@ -331,12 +451,12 @@ TEST_F(ChaosTest, StickyCrashQuarantinesPoisonRun)
 TEST_F(ChaosTest, SigtermCancelsAndRerunResumes)
 {
     std::string scratch = freshDir("sigterm_resume");
-    std::multiset<std::string> serial = serialReference(scratch);
+    std::multiset<std::string> serial = serialReference(scratch, MidSweep);
 
     std::string journals = scratch + "/j";
     pid_t pid = spawnSweep({"--worker-procs", "2", "--journal-dir",
                             journals},
-                           TinySweep, scratch + "/c.out",
+                           MidSweep, scratch + "/c.out",
                            scratch + "/c.err");
     // Wait for some durable progress so the rerun has work to resume,
     // then interrupt. If the sweep wins the race and finishes first,
@@ -352,7 +472,7 @@ TEST_F(ChaosTest, SigtermCancelsAndRerunResumes)
     SweepResult rerun = runSweep(scratch,
                                  {"--worker-procs", "2", "--journal-dir",
                                   journals, "--trace-out", trace},
-                                 TinySweep);
+                                 MidSweep);
     ASSERT_EQ(rerun.exitCode, 0) << rerun.err;
     EXPECT_EQ(canonicalRuns(trace), serial);
 }
@@ -366,12 +486,12 @@ TEST_F(ChaosTest, SigtermCancelsAndRerunResumes)
 TEST_F(ChaosTest, KilledCoordinatorLeavesResumableShards)
 {
     std::string scratch = freshDir("coordinator_kill");
-    std::multiset<std::string> serial = serialReference(scratch);
+    std::multiset<std::string> serial = serialReference(scratch, MidSweep);
 
     std::string journals = scratch + "/j";
     pid_t pid = spawnSweep({"--worker-procs", "2", "--journal-dir",
                             journals},
-                           TinySweep, scratch + "/c.out",
+                           MidSweep, scratch + "/c.out",
                            scratch + "/c.err");
     waitForShardBytes(journals, 256, 8000);
     ::kill(pid, SIGKILL);
@@ -385,7 +505,7 @@ TEST_F(ChaosTest, KilledCoordinatorLeavesResumableShards)
     SweepResult rerun = runSweep(scratch,
                                  {"--worker-procs", "2", "--journal-dir",
                                   journals, "--trace-out", trace},
-                                 TinySweep);
+                                 MidSweep);
     ASSERT_EQ(rerun.exitCode, 0) << rerun.err;
     EXPECT_EQ(canonicalRuns(trace), serial);
 }
@@ -505,7 +625,7 @@ TEST_F(ChaosTest, TcpLoopbackHostsMatchSerial)
 TEST_F(ChaosTest, TcpKilledRemoteWorkerIsReclaimed)
 {
     std::string scratch = freshDir("tcp_kill");
-    std::multiset<std::string> serial = serialReference(scratch);
+    std::multiset<std::string> serial = serialReference(scratch, MidSweep);
 
     pid_t w1 = spawnWorker({"--listen", "0"}, {}, scratch + "/w1.out",
                            scratch + "/w1.err");
@@ -525,7 +645,7 @@ TEST_F(ChaosTest, TcpKilledRemoteWorkerIsReclaimed)
          "127.0.0.1:" + std::to_string(p1) + ",127.0.0.1:" +
              std::to_string(p2),
          "--journal-dir", journals, "--trace-out", trace},
-        TinySweep, scratch + "/c.out", scratch + "/c.err");
+        MidSweep, scratch + "/c.out", scratch + "/c.err");
     // Remote records land in coordinator-side shards; once some are
     // durable the sweep is mid-flight and worker 1 likely holds a
     // lease. If the sweep wins the race and finishes first the kill
@@ -593,6 +713,16 @@ TEST_F(ChaosTest, DegradesWhenWorkerExecFails)
     EXPECT_NE(dist.err.find("respawn budget"), std::string::npos)
         << dist.err;
     EXPECT_EQ(canonicalRuns(trace), serial);
+
+    // Vacuity guard: the drain ran the remaining runs on shared
+    // cursors, fewer than the per-cell cohorts it replaced.
+    auto drains = numbersOf(
+        dist.err, R"(dist: drained (\d+) runs in-process on (\d+) )"
+                  R"(shared cursors in place of (\d+) per-cell cohorts)");
+    ASSERT_EQ(drains.size(), 1u) << dist.err;
+    EXPECT_GT(drains[0][0], 0u);
+    EXPECT_GT(drains[0][1], 0u);
+    EXPECT_LT(drains[0][1], drains[0][2]) << dist.err;
 }
 
 } // namespace

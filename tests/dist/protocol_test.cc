@@ -305,19 +305,25 @@ TEST(WorkFrameTest, RoundTrips)
     WorkFrame in;
     in.unit = 42;
     in.workload = "stringsearch";
-    in.component = "l1d";
-    in.faults = 2;
     in.goldenKey = "g0123456789abcdef-fedcba9876543210";
-    in.indices = {0, 7, 193};
+    in.riders = {{"l1d", 2, {0, 7, 193}},
+                 {"regfile", 2, {5}},
+                 {"l1d", 3, {1, 2}}};
 
+    const std::string payload = buildWorkFrame(in);
+    EXPECT_EQ(payload, "work 42 stringsearch " + in.goldenKey +
+                           " 3 l1d 2 3 0 7 193 regfile 2 1 5 l1d 3 2 1 2");
     WorkFrame out;
-    ASSERT_TRUE(parseWorkFrame(buildWorkFrame(in), out));
+    ASSERT_TRUE(parseWorkFrame(payload, out));
     EXPECT_EQ(out.unit, 42);
     EXPECT_EQ(out.workload, "stringsearch");
-    EXPECT_EQ(out.component, "l1d");
-    EXPECT_EQ(out.faults, 2u);
     EXPECT_EQ(out.goldenKey, in.goldenKey);
-    EXPECT_EQ(out.indices, in.indices);
+    ASSERT_EQ(out.riders.size(), 3u);
+    for (size_t r = 0; r < in.riders.size(); ++r) {
+        EXPECT_EQ(out.riders[r].component, in.riders[r].component) << r;
+        EXPECT_EQ(out.riders[r].faults, in.riders[r].faults) << r;
+        EXPECT_EQ(out.riders[r].indices, in.riders[r].indices) << r;
+    }
 }
 
 TEST(WorkFrameTest, RejectsHostileVariants)
@@ -328,20 +334,93 @@ TEST(WorkFrameTest, RejectsHostileVariants)
     const char* hostile[] = {
         "",
         "work",
-        "work x stringsearch l1d 2 - 1 0",       // non-numeric unit
-        "work -1 stringsearch l1d 2 - 1 0",      // negative unit
-        "work 1 stringsearch l1d x - 1 0",       // non-numeric faults
-        "work 1 stringsearch l1d 2 - 2 0",       // truncated index list
-        "work 1 stringsearch l1d 2 - 1 0 7",     // extra index
-        "work 1 stringsearch l1d 2 - 1 0 junk",  // trailing garbage
-        "work 1 stringsearch l1d 2 - 1 99999999999",     // index overflow
-        "work 1 stringsearch l1d 18446744073709551617 - 1 0",
-        "work 1 str/../../etc l1d 2 - 1 0",      // hostile name bytes
-        "work 1 stringsearch l1d 2 - 4294967295 0",      // absurd count
-        "worm 1 stringsearch l1d 2 - 1 0",       // wrong tag
+        "work x stringsearch - 1 l1d 2 1 0",       // non-numeric unit
+        "work -1 stringsearch - 1 l1d 2 1 0",      // negative unit
+        "work 1 stringsearch - 1 l1d x 1 0",       // non-numeric faults
+        "work 1 stringsearch - 1 l1d 2 2 0",       // truncated index list
+        "work 1 stringsearch - 1 l1d 2 1 0 7",     // extra index
+        "work 1 stringsearch - 1 l1d 2 1 0 junk",  // trailing garbage
+        "work 1 stringsearch - 1 l1d 2 1 99999999999",   // index overflow
+        "work 1 stringsearch - 1 l1d 18446744073709551617 1 0",
+        "work 1 str/../../etc - 1 l1d 2 1 0",      // hostile name bytes
+        "work 1 stringsearch - 1 l1d 2 4294967295 0",    // absurd count
+        "worm 1 stringsearch - 1 l1d 2 1 0",       // wrong tag
+        "work 1 stringsearch l1d 2 - 1 0",         // pre-rider layout
+        "work 1 stringsearch - 0",                 // zero riders
+        "work 1 stringsearch - 2 l1d 2 1 0",       // missing rider
+        "work 1 stringsearch - 1 l1d 2 1 0 l2 1 1 3",    // extra rider
+        "work 1 stringsearch - 2 l1d 2 1 0 l2 1 2 3",    // short 2nd list
+        "work 1 stringsearch - 2 l1d 2 1 0 l2 1 1 3 4",  // long 2nd list
+        "work 1 stringsearch - 2 l1d 2 1 0 l9 1 1 3",    // unknown 2nd
+        "work 1 stringsearch - 2 l1d 2 1 0 l1d 2 1 3",   // duplicate cell
+        "work 1 stringsearch - 18446744073709551617 l1d 2 1 0",
+        "work 1 stringsearch - 4294967297 l1d 2 1 0",    // absurd riders
     };
     for (const char* payload : hostile)
         EXPECT_FALSE(parseWorkFrame(payload, out)) << payload;
+
+    // One component at two cardinalities is two distinct cells.
+    EXPECT_TRUE(parseWorkFrame(
+        "work 1 stringsearch - 2 l1d 1 1 0 l1d 2 1 0", out));
+}
+
+TEST(RecFrameTest, RoundTripsRiderTaggedRecord)
+{
+    RecFrame in;
+    in.unit = 9;
+    in.rider = 2;
+    in.wallMicros = 1234567;
+    in.record.index = 17;
+    in.record.cycle = 4096;
+    in.record.outcome = core::Outcome::Sdc;
+    in.record.cycles = 50000;
+    in.record.restoredFrom = 4000;
+    in.record.cyclesSaved = 12;
+    in.record.mask.clusterRow = 3;
+    in.record.mask.clusterCol = 5;
+    in.record.mask.flips = {{3, 5}, {4, 5}};
+
+    const std::string payload = buildRecFrame(in);
+    EXPECT_EQ(payload.rfind("rec 9 2 1234567 run 17 ", 0), 0u) << payload;
+    RecFrame out;
+    ASSERT_TRUE(parseRecFrame(payload, 3, out));
+    EXPECT_EQ(out.unit, 9);
+    EXPECT_EQ(out.rider, 2u);
+    EXPECT_EQ(out.wallMicros, 1234567u);
+    EXPECT_EQ(out.record.wallMicros, 1234567u);
+    EXPECT_EQ(core::serializeRunRecord(out.record),
+              core::serializeRunRecord(in.record));
+}
+
+TEST(RecFrameTest, RejectsOutOfRangeRiderAndMalformedRecords)
+{
+    RecFrame in;
+    in.unit = 1;
+    in.rider = 2;
+    in.record.index = 3;
+    const std::string payload = buildRecFrame(in);
+    RecFrame out;
+    // The rider index must name a rider of the leased unit.
+    EXPECT_TRUE(parseRecFrame(payload, 3, out));
+    EXPECT_FALSE(parseRecFrame(payload, 2, out));
+    EXPECT_FALSE(parseRecFrame(payload, 0, out));
+
+    const char* hostile[] = {
+        "",
+        "rec",
+        "rec 1 0",                                 // no record
+        "rec 1 0 5",                               // no record
+        "rec 1 0 5 ",                              // empty record
+        "rec x 0 5 run 3 0 0 0 0 0 0 0 0 0",       // non-numeric unit
+        "rec 1 -1 5 run 3 0 0 0 0 0 0 0 0 0",      // negative rider
+        "rec 1 0 x run 3 0 0 0 0 0 0 0 0 0",       // non-numeric wall
+        "rec 1 0 5 run 3 0 0 0 0 0 0 0 0 1",       // flip list short
+        "rec 1 0 5 run 3 0 0 0 0 0 0 0 0 0 junk",  // trailing garbage
+        "rec 1 0 5 walk 3 0 0 0 0 0 0 0 0 0",      // not a run record
+        "rec 1 4294967296 5 run 3 0 0 0 0 0 0 0 0 0",   // rider overflow
+    };
+    for (const char* frame : hostile)
+        EXPECT_FALSE(parseRecFrame(frame, 3, out)) << frame;
 }
 
 TEST(CfgFrameTest, RoundTripsWithEnvKnobs)
@@ -476,7 +555,8 @@ TEST(TcpTransportTest, FramesSurviveByteSplitOverLoopback)
         // Two frames dribbled out a few bytes per send (TCP_NODELAY
         // is set, so these really do hit the wire as tiny segments).
         std::string wire =
-            encode("work 3 stringsearch l1d 2 - 2 0 1") + encode("shutdown");
+            encode("work 3 stringsearch - 1 l1d 2 2 0 1") +
+            encode("shutdown");
         for (size_t i = 0; i < wire.size(); i += 3) {
             size_t n = std::min<size_t>(3, wire.size() - i);
             ASSERT_EQ(::write(fd, wire.data() + i, n),
@@ -494,10 +574,11 @@ TEST(TcpTransportTest, FramesSurviveByteSplitOverLoopback)
     ASSERT_GE(server_fd, 0);
     std::string payload;
     ASSERT_EQ(readFrame(server_fd, payload), 1);
-    EXPECT_EQ(payload, "work 3 stringsearch l1d 2 - 2 0 1");
+    EXPECT_EQ(payload, "work 3 stringsearch - 1 l1d 2 2 0 1");
     WorkFrame frame;
     ASSERT_TRUE(parseWorkFrame(payload, frame));
-    EXPECT_EQ(frame.indices, (std::vector<uint32_t>{0, 1}));
+    ASSERT_EQ(frame.riders.size(), 1u);
+    EXPECT_EQ(frame.riders[0].indices, (std::vector<uint32_t>{0, 1}));
     ASSERT_EQ(readFrame(server_fd, payload), 1);
     EXPECT_EQ(payload, "shutdown");
     ASSERT_TRUE(writeFrame(server_fd, "unit-done 3"));
